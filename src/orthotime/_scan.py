@@ -7,6 +7,12 @@ zero between samples without a nonpositive sample (hunted down by recursive
 subsampling around the running minimum).  Touch hunting is only attempted
 where the sampled value is within one Lipschitz step of zero, which is the
 widest a sub-grid excursion to zero can hide.
+
+The grid is evaluated lazily, in consecutive blocks of ``_FIRST_BLOCK``
+points doubling up to ``_MAX_BLOCK``, and the scan stops at the first root,
+so a root early in the horizon costs a few blocks rather than the whole grid.
+The result is the same, bit for bit, as sampling every grid point first
+(see ``first_root``), and sample memory is bounded by the largest block.
 """
 
 from __future__ import annotations
@@ -14,6 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Block schedule of the lazy scan: the first block is short because roots
+# often sit early in the horizon; the cap bounds the memory of one block.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -56,12 +67,17 @@ def bisect_root(f, lo: float, hi: float, f_hi: float, xtol: float, ftol: float,
 
 
 def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float,
-                touch_tol: float, points: int = 33, max_rounds: int = 40):
+                touch_tol: float, points: int = 33, max_rounds: int = 40,
+                lipschitz: float | None = None):
     """Refine a bracket suspected of dipping to (or through) zero.
 
     Subsamples the bracket and recentres on the minimum.  Any nonpositive
     sample hands over to crossing bisection; otherwise the dip counts as a
-    root only when the refined minimum is <= ``touch_tol``.
+    root only when the refined minimum is <= ``touch_tol``.  With
+    ``lipschitz``, the hunt gives up as soon as one round's samples prove
+    the curve stays above ``2 * touch_tol`` on the whole bracket (the second
+    ``touch_tol`` absorbs rounding in the samples): every later round samples
+    inside that bracket, so the full refinement would return None as well.
     """
     best_t = best_f = None
     for _ in range(max_rounds):
@@ -73,6 +89,12 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float,
             t, v = bisect_root(_scalar(f_batch), float(ts[j - 1]), float(ts[j]),
                                float(fs[j]), xtol, ftol)
             return RootHit(t, v, "crossing")
+        if lipschitz is not None:
+            # Lowest value a curve of slope <= lipschitz through the samples
+            # can reach between two neighbours.
+            floor = 0.5 * np.min(fs[:-1] + fs[1:] - lipschitz * np.diff(ts))
+            if floor > 2.0 * touch_tol:
+                return None
         m = int(np.argmin(fs))
         best_t, best_f = float(ts[m]), float(fs[m])
         width_floor = max(xtol, 4.0 * np.finfo(float).eps * max(abs(hi), 1.0))
@@ -84,43 +106,77 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float,
     return None
 
 
-def first_root(f_batch, ts, fs, lipschitz: float | None = None,
-               xtol: float = 1e-12, ftol: float = 1e-11,
-               touch_tol: float = 1e-9):
-    """Earliest root of a sampled curve that starts strictly positive.
+def _touch_candidates(fs, window: float) -> np.ndarray:
+    """Indices j, 1 <= j <= fs.size - 2, of local minima fs[j] <= ``window``.
 
-    ``f_batch`` maps an array of abscissae to an array of values and must be
-    consistent with the samples ``fs`` taken on the uniform grid ``ts``.
-    When ``lipschitz`` is given, positive local minima within
-    ``lipschitz * step`` of zero are inspected as potential sub-grid touches.
+    ``fs`` holds only samples before the first nonpositive one, so every
+    candidate and both its neighbours are positive (NaN is never one)."""
+    left, mid, right = fs[:-2], fs[1:-1], fs[2:]
+    return np.flatnonzero((mid <= window) & (left >= mid) & (mid <= right)) + 1
+
+
+def first_root(f_batch, ts, lipschitz: float | None = None,
+               xtol: float = 1e-12, ftol: float = 1e-11,
+               touch_tol: float = 1e-9, on_samples=None):
+    """Earliest root of a curve, sampled on the uniform grid ``ts``, that
+    starts strictly positive.
+
+    ``f_batch`` maps an array of abscissae to an array of values.  It is
+    called on consecutive blocks of ``ts`` (``_FIRST_BLOCK`` points, doubling
+    up to ``_MAX_BLOCK``), and evaluation stops at the first root; samples
+    after it are never computed.  When ``lipschitz`` is given, positive local
+    minima within ``lipschitz * step`` of zero are inspected as potential
+    sub-grid touches, in grid order and before a later sign change.  A
+    horizon-endpoint sample within that window that is still falling is
+    inspected as a one-sided touch.  ``on_samples``, if given, is called with
+    each block's new samples in grid order, so their concatenation is the
+    curve on the scanned prefix of ``ts`` (all of it when there is no root).
     Returns a RootHit or None.
+
+    Guarantee: the result is the same, bit for bit, as that of a scan that
+    samples the whole grid first and walks it point by point.  That walk
+    decides at grid index k using only the samples up to index k + 1, and
+    each block is joined to the last two samples of the previous one, so
+    every sign change and touch candidate is found at the same grid point,
+    in the same order, with the same bisection and touch hunts.  A hunt given
+    ``lipschitz`` may stop early, but only where the full refinement would
+    return None (see ``_touch_hunt``).
     """
     ts = np.asarray(ts, dtype=float)
-    fs = np.asarray(fs, dtype=float)
     n = ts.size
     if n < 2:
         return None
-    if fs[0] <= 0.0:
-        raise ValueError("scan must start at a strictly positive sample")
     step = (ts[-1] - ts[0]) / (n - 1)
     window = lipschitz * step if lipschitz is not None else None
-    scalar_f = _scalar(f_batch)
-    for k in range(1, n):
-        if window is not None and k >= 2:
-            j = k - 1
-            if (0.0 < fs[j] <= window and fs[j - 1] >= fs[j] <= fs[k]
-                    and fs[j - 1] > 0.0 and fs[k] > 0.0):
-                hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[k]),
-                                  xtol, ftol, touch_tol)
+    tail = np.empty(0)  # last two samples of the previous block
+    start, size = 0, _FIRST_BLOCK
+    while start < n:
+        stop = min(start + size, n)
+        new = np.asarray(f_batch(ts[start:stop]), dtype=float)
+        if on_samples is not None:
+            on_samples(new)
+        if start == 0 and new[0] <= 0.0:
+            raise ValueError("scan must start at a strictly positive sample")
+        fs = np.concatenate((tail, new))
+        base = start - tail.size  # grid index of fs[0]
+        neg = np.flatnonzero(new <= 0.0)
+        cross = tail.size + int(neg[0]) if neg.size else fs.size
+        if window is not None:
+            for j in _touch_candidates(fs[:cross], window):
+                hit = _touch_hunt(f_batch, float(ts[base + j - 1]), float(ts[base + j + 1]),
+                                  xtol, ftol, touch_tol, lipschitz=lipschitz)
                 if hit is not None:
                     return hit
-        if fs[k] <= 0.0:
-            t, v = bisect_root(scalar_f, float(ts[k - 1]), float(ts[k]),
-                               float(fs[k]), xtol, ftol)
+        if neg.size:
+            k = base + cross
+            t, v = bisect_root(_scalar(f_batch), float(ts[k - 1]), float(ts[k]),
+                               float(fs[cross]), xtol, ftol)
             return RootHit(t, v, "crossing")
-    # One-sided candidate at the horizon endpoint (tangency at the boundary).
-    if window is not None and 0.0 < fs[-1] <= window and fs[-1] <= fs[-2]:
-        hit = _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, touch_tol)
-        if hit is not None:
-            return hit
+        tail = fs[-2:]
+        start, size = stop, min(2 * size, _MAX_BLOCK)
+    # One-sided candidate at the horizon endpoint (tangency at the boundary);
+    # every sample is positive here.
+    if window is not None and tail[-1] <= window and tail[-1] <= tail[-2]:
+        return _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, touch_tol,
+                           lipschitz=lipschitz)
     return None

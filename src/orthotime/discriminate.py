@@ -34,11 +34,14 @@ from .errors import DimensionMismatchError, NotNormalizedError
 STATE_NORM_TOL = 1e-10
 GAP_FTOL = 1e-11
 TOUCH_TOL = 1e-9
-_BLOCK = 65536  # grid points per batched-evaluation block (bounds peak memory)
 
 
 class ScanContinuityWarning(RuntimeWarning):
-    """Adjacent scan samples jumped by more than the Lipschitz bound allows."""
+    """Adjacent scan samples jumped by more than the Lipschitz bound allows.
+
+    Only the samples the scan evaluated are checked: those up to the first
+    root, or the whole horizon when there is none.
+    """
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,12 @@ class DiscriminationResult:
 class NoOrthogonality:
     """No antipodal eigenphase pair within the scanned horizon.
 
-    ``g_infimum`` is the smallest sampled gap margin; a value clearly above
-    zero indicates the pair genuinely cannot be discriminated on this horizon
-    (it stays positive forever for proportional fields with small alignment
-    angle), while a small value suggests the horizon was too short.
+    ``g_infimum`` is the smallest sampled gap margin and ``t_at_infimum`` the
+    grid time where it is first reached; with no root the scan evaluates the
+    whole horizon, so both are taken over every grid point.  A value clearly
+    above zero indicates the pair genuinely cannot be discriminated on this
+    horizon (it stays positive forever for proportional fields with small
+    alignment angle), while a small value suggests the horizon was too short.
     """
 
     t_max: float
@@ -180,12 +185,7 @@ class _EvolutionPair:
         return ub @ ua
 
     def phases_grid(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        phases = np.empty((ts.size, self.dim))
-        for start in range(0, ts.size, _BLOCK):
-            block = ts[start:start + _BLOCK]
-            vals = np.linalg.eigvals(self.product_grid(block))
-            phases[start:start + _BLOCK] = np.angle(vals)
+        phases = np.angle(np.linalg.eigvals(self.product_grid(ts)))
         phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
         phases.sort(axis=1)
         return phases
@@ -207,12 +207,8 @@ class _EvolutionPair:
         eigenphases are antipodal.
         """
         ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.size)
-        for start in range(0, ts.size, 4 * _BLOCK):
-            block = ts[start:start + 4 * _BLOCK]
-            tr = np.exp(1j * np.multiply.outer(block, self.freqs.ravel())) @ self.mix.ravel()
-            out[start:start + 4 * _BLOCK] = np.real(np.exp(-1j * self.beta * block) * tr)
-        return out
+        tr = np.exp(1j * np.multiply.outer(ts, self.freqs.ravel())) @ self.mix.ravel()
+        return np.real(np.exp(-1j * self.beta * ts) * tr)
 
     @staticmethod
     def gap_margin_from_trace(c) -> np.ndarray:
@@ -237,49 +233,49 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
 
     Scans the gap margin g(t) on a uniform grid over [0, t_max] and refines
     the first instant it reaches zero (sign change by bisection, sub-grid
-    tangency by recursive subsampling).  Defaults: ``t_max`` is 100x the
-    spectral-span lower bound pi/(2 wa + 2 wb), ``scan_step`` is t_max/2000
-    capped so the fastest eigenphase beat stays resolved, and ``refine_tol``
-    is 1e-10 * t_max.
+    tangency by recursive subsampling).  The grid is evaluated lazily in
+    growing blocks and the scan stops at the first root, with the same result
+    as scanning every grid point (see ``_scan.first_root``).  Defaults:
+    ``t_max`` is 100x the spectral-span lower bound pi/(2 wa + 2 wb),
+    ``scan_step`` is t_max/2000 capped so the fastest eigenphase beat stays
+    resolved, and ``refine_tol`` is 1e-10 * t_max.  A given ``t_max`` or
+    ``scan_step`` must be positive.  A ``ScanContinuityWarning`` is issued
+    when adjacent evaluated samples jump by more than the Lipschitz bound.
 
     Returns a ``DiscriminationResult`` on success.  Returns a
     ``NoOrthogonality`` report when g never reaches zero on the horizon; the
-    report carries the sampled infimum of g for diagnosis (no finite upper
-    bound on the orthogonality time exists in general, so the horizon is
-    explicit).
+    report carries the sampled infimum of g over the whole grid for diagnosis
+    (no finite upper bound on the orthogonality time exists in general, so
+    the horizon is explicit).
     """
     pair_data = _EvolutionPair(ha, hb)
+    if t_max is not None:
+        t_max = float(t_max)
+        if t_max <= 0.0:
+            raise ValueError("t_max must be positive")
+    if scan_step is not None and scan_step <= 0.0:
+        raise ValueError("scan_step must be positive")
     span_sum = 2.0 * (pair_data.half_span_a + pair_data.half_span_b)
     if span_sum == 0.0:
         # Both operators scalar: the product is a global phase forever.
-        return NoOrthogonality(float(t_max) if t_max else 0.0, np.pi, 0.0)
+        return NoOrthogonality(t_max if t_max is not None else 0.0, np.pi, 0.0)
     if t_max is None:
         t_max = 100.0 * np.pi / span_sum
-    t_max = float(t_max)
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
     if scan_step is None:
         scan_step = min(t_max / 2000.0, np.pi / (2.0 * span_sum))
-    if scan_step <= 0.0:
-        raise ValueError("scan_step must be positive")
     if refine_tol is None:
         refine_tol = 1e-10 * t_max
     n = int(np.ceil(t_max / scan_step))
     ts = np.linspace(0.0, t_max, n + 1)
 
-    if pair_data.dim == 2:
-        f_batch = pair_data.trace_margin
-        samples = f_batch(ts)
-        g_samples = pair_data.gap_margin_from_trace(samples)
-    else:
-        f_batch = pair_data.gap_margin
-        samples = f_batch(ts)
-        g_samples = samples
+    f_batch = pair_data.trace_margin if pair_data.dim == 2 else pair_data.gap_margin
+    blocks = []
+    hit = first_root(f_batch, ts, lipschitz=pair_data.lipschitz, xtol=refine_tol,
+                     ftol=GAP_FTOL, touch_tol=TOUCH_TOL, on_samples=blocks.append)
+    samples = np.concatenate(blocks)
     _flag_jumps(samples, pair_data.lipschitz * (ts[1] - ts[0]))
-
-    hit = first_root(f_batch, ts, samples, lipschitz=pair_data.lipschitz,
-                     xtol=refine_tol, ftol=GAP_FTOL, touch_tol=TOUCH_TOL)
     if hit is None:
+        g_samples = pair_data.gap_margin_from_trace(samples) if pair_data.dim == 2 else samples
         k = int(np.argmin(g_samples))
         return NoOrthogonality(t_max, float(g_samples[k]), float(ts[k]))
 

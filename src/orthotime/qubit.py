@@ -119,6 +119,9 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float,
     ``n_scan`` points whenever the fast beat (wa + wb) would otherwise be
     under-resolved, then the first sign change (or boundary tangency, e.g.
     gamma = pi/2 with equal frequencies) is refined to ``rel_tol`` relative.
+    The grid is evaluated lazily in growing blocks and the scan stops at the
+    first root, with the same result as scanning every grid point (see
+    ``_scan.first_root``).
     """
     if omega_a < 0 or omega_b < 0:
         raise ValueError("frequencies must be nonnegative")
@@ -135,8 +138,9 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float,
         horizon = np.pi / abs(omega_a - omega_b)
     else:
         horizon = np.pi / total
-    # Densify beyond n_scan so the fast beat stays resolved on long horizons;
-    # capped to keep near-degenerate frequency pairs from exhausting memory.
+    # Densify beyond n_scan so the fast beat stays resolved on long horizons.
+    # The cap limits the grid size (sample memory is bounded by the scan's
+    # block); past it the fast beat is under-resolved.
     n = max(int(n_scan), int(np.ceil(4.0 * horizon * total / np.pi)))
     n = min(n, 5_000_000)
     ts = np.linspace(0.0, horizon, n + 1)
@@ -144,9 +148,8 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float,
     def f_batch(tt):
         return criterion(gamma, omega_a, omega_b, tt)
 
-    fs = f_batch(ts)
     lip = a * abs(omega_a - omega_b) + b * total
-    hit = first_root(f_batch, ts, fs, lipschitz=max(lip, 1e-300),
+    hit = first_root(f_batch, ts, lipschitz=max(lip, 1e-300),
                      xtol=rel_tol * horizon, ftol=1e-13, touch_tol=1e-9)
     return float(hit.t) if hit is not None else None
 

@@ -250,6 +250,13 @@ class TestFindTPerp:
         assert isinstance(out, NoOrthogonality)
         assert_allclose(out.g_infimum, np.pi)
 
+    @pytest.mark.parametrize("ha, hb", [(2.0 * np.eye(3, dtype=complex),
+                                         -np.eye(3, dtype=complex)), (SZ, SX)])
+    @pytest.mark.parametrize("kwargs", [{"t_max": -1.0}, {"t_max": 0.0}, {"scan_step": -1.0}])
+    def test_nonpositive_horizon_or_step_raises(self, ha, hb, kwargs):
+        with pytest.raises(ValueError):
+            find_t_perp(ha, hb, **kwargs)
+
     def test_one_dimensional_never_orthogonal(self):
         out = find_t_perp(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]), t_max=4.0)
         assert isinstance(out, NoOrthogonality)
