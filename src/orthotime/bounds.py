@@ -28,13 +28,11 @@ from .errors import (
     CutProximityError,
     DimensionMismatchError,
     FlatSpectrumError,
-    NotNormalizedError,
     ZeroEnergyError,
     ZeroSpanError,
     ZeroUncertaintyError,
 )
 
-STATE_NORM_TOL = 1e-10
 RADICAND_FLOOR = -1e-14
 
 
@@ -45,11 +43,7 @@ def energy_uncertainty(h, psi) -> float:
     roundoff are clamped to zero.
     """
     h = linalg.assert_hermitian(h, name="h")
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (h.shape[0],):
-        raise DimensionMismatchError(f"state shape {psi.shape} does not match dimension {h.shape[0]}")
-    if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
-        raise NotNormalizedError("state vector must have unit norm")
+    psi = linalg.as_unit_state(psi, h.shape[0])
     hpsi = h @ psi
     mean = float((psi.conj() @ hpsi).real)
     second = float((hpsi.conj() @ hpsi).real)
@@ -169,7 +163,7 @@ def equality_case_norm(ha, k: float, t: float) -> tuple[float, float]:
         )
     hb = k * ha
     prod = linalg.expm_i(-hb, t) @ linalg.expm_i(ha, t)
-    lhs = linalg.frobenius(linalg.principal_log_u(prod))
+    lhs = linalg.principal_log_norm(prod)
     rhs = abs(t) * linalg.frobenius(ha) + abs(t) * linalg.frobenius(hb)
     return lhs, rhs
 

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import linalg
 from ._scan import first_root
-from .errors import DimensionMismatchError, NotNormalizedError
+from .errors import DimensionMismatchError
 
-STATE_NORM_TOL = 1e-10
 GAP_FTOL = 1e-11
 TOUCH_TOL = 1e-9
 
@@ -142,12 +141,8 @@ def orthogonal_state(frame, pair: tuple[int, int], alpha: float = 0.0) -> np.nda
 
 def bracket(psi, ha, hb, t: float) -> complex:
     """Exact inner product <psi| exp(i hb t) exp(-i ha t) |psi>."""
-    psi = np.asarray(psi, dtype=complex)
     ha = linalg.as_square_matrix(ha, "ha")
-    if psi.shape != (ha.shape[0],):
-        raise DimensionMismatchError(f"state shape {psi.shape} does not match dimension {ha.shape[0]}")
-    if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
-        raise NotNormalizedError("state vector must have unit norm")
+    psi = linalg.as_unit_state(psi, ha.shape[0])
     return complex(psi.conj() @ product_unitary(ha, hb, t) @ psi)
 
 
@@ -185,10 +180,7 @@ class _EvolutionPair:
         return ub @ ua
 
     def phases_grid(self, ts) -> np.ndarray:
-        phases = np.angle(np.linalg.eigvals(self.product_grid(ts)))
-        phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
-        phases.sort(axis=1)
-        return phases
+        return linalg.sorted_phases(np.linalg.eigvals(self.product_grid(ts)))
 
     def gap_margin(self, ts) -> np.ndarray:
         """g(t) = largest empty arc - pi, batched over times."""

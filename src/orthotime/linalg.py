@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernel.
 
 Spectral operations for Hermitian and unitary matrices: eigendecompositions,
-the unitary exponential of a Hermitian generator, the principal logarithm of
-a unitary, Frobenius norms, and the divided-difference (directional)
-derivative of the matrix logarithm at a diagonal point.
+eigenphases, the unitary exponential of a Hermitian generator, the principal
+logarithm of a unitary and its Frobenius norm, unit-state validation, and the
+divided-difference (directional) derivative of the matrix logarithm at a
+diagonal point.
 
 Eigenphases follow the half-open convention (-pi, pi]; a tie at -pi is
 remapped to +pi.  All functions are pure and never modify their inputs, so
@@ -23,11 +24,13 @@ from .errors import (
     DimensionMismatchError,
     NonHermitianError,
     NonUnitaryError,
+    NotNormalizedError,
 )
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
+STATE_NORM_TOL = 1e-10
 CUT_GUARD = 1e-9
 COINCIDENT_TOL = 1e-12
 
@@ -47,6 +50,17 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
             f"{name} must be a square matrix, got shape {a.shape}"
         )
     return a
+
+
+def as_unit_state(psi, dim: int) -> np.ndarray:
+    """Return ``psi`` as a complex vector, or raise unless it has shape
+    (dim,) and unit norm within ``STATE_NORM_TOL``."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (dim,):
+        raise DimensionMismatchError(f"state shape {psi.shape} does not match dimension {dim}")
+    if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
+        raise NotNormalizedError("state vector must have unit norm")
+    return psi
 
 
 def frobenius(m) -> float:
@@ -93,8 +107,7 @@ def unitary_eig(u, tol: float = UNITARITY_TOL) -> EigenSystem:
         t, z = scipy.linalg.schur(u, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
-    phases = np.angle(np.diagonal(t))
-    phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+    phases = _wrap_phases(np.angle(np.diagonal(t)))
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = z[:, order]
@@ -102,6 +115,41 @@ def unitary_eig(u, tol: float = UNITARITY_TOL) -> EigenSystem:
     if np.linalg.norm(recon - u) > RECONSTRUCTION_TOL * max(np.linalg.norm(u), 1.0):
         raise ConvergenceError("eigendecomposition failed to reproduce the input unitary")
     return EigenSystem(phases, vectors)
+
+
+def _wrap_phases(phases: np.ndarray) -> np.ndarray:
+    return np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+
+
+def sorted_phases(eigenvalues) -> np.ndarray:
+    """Arguments of ``eigenvalues`` in (-pi, pi], ascending along the last
+    axis, with a tie at -pi mapped to +pi.  No check: batched callers pass
+    eigenvalues of matrices that are unitary by construction."""
+    phases = _wrap_phases(np.angle(eigenvalues))
+    phases.sort(axis=-1)
+    return phases
+
+
+def unitary_phases(u, tol: float = UNITARITY_TOL) -> np.ndarray:
+    """Eigenphases of a unitary in (-pi, pi], ascending, from one eigenvalue
+    computation without eigenvectors.
+
+    The computed spectrum must be consistent with ``u``: every eigenvalue of
+    modulus 1 and their sum equal to tr u, both within ``RECONSTRUCTION_TOL``
+    times max(||u||_F, 1); otherwise ``ConvergenceError`` is raised.  This is
+    the eigenvalue counterpart of the reconstruction check in
+    ``unitary_eig``.
+    """
+    u = assert_unitary(u, tol)
+    try:
+        values = np.linalg.eigvals(u)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise ConvergenceError(f"eigenvalue solver failed: {exc}") from exc
+    limit = RECONSTRUCTION_TOL * max(np.linalg.norm(u), 1.0)
+    if (np.max(np.abs(np.abs(values) - 1.0)) > limit
+            or abs(values.sum() - np.trace(u)) > limit):
+        raise ConvergenceError("eigenvalues are inconsistent with the input unitary")
+    return sorted_phases(values)
 
 
 def expm_i(h, t: float, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -123,6 +171,25 @@ def principal_log_u(u, cut_guard: float = CUT_GUARD, tol: float = UNITARITY_TOL)
     interval and is allowed.
     """
     phases, vectors = unitary_eig(u, tol)
+    _check_cut(phases, cut_guard)
+    k = (vectors * phases) @ vectors.conj().T
+    return 0.5 * (k + k.conj().T)
+
+
+def principal_log_norm(u, cut_guard: float = CUT_GUARD, tol: float = UNITARITY_TOL) -> float:
+    """||log u||_F for the principal logarithm, which is the 2-norm of the
+    eigenphases of u; raises as ``principal_log_u`` does near the cut."""
+    phases = unitary_phases(u, tol)
+    _check_cut(phases, cut_guard)
+    return float(np.linalg.norm(phases))
+
+
+def _check_cut(phases: np.ndarray, cut_guard: float) -> None:
+    """Raise ``CutProximityError`` for a phase within ``cut_guard`` of -1.
+
+    A phase equal to +pi exactly sits on the included end of the half-open
+    interval and is allowed.
+    """
     distance = np.pi - np.abs(phases)
     near_cut = (distance < cut_guard) & (phases != np.pi)
     if np.any(near_cut):
@@ -130,8 +197,6 @@ def principal_log_u(u, cut_guard: float = CUT_GUARD, tol: float = UNITARITY_TOL)
         raise CutProximityError(
             f"eigenphase within {worst:.3e} of the branch point -1 (guard {cut_guard})"
         )
-    k = (vectors * phases) @ vectors.conj().T
-    return 0.5 * (k + k.conj().T)
 
 
 def log_frechet_diag(g, h, cut_guard: float = CUT_GUARD,

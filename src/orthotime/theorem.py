@@ -78,8 +78,8 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _phase_cut_distance(u: np.ndarray) -> float:
-    phases = np.angle(np.linalg.eigvals(u))
+def _phase_cut_distance(phases: np.ndarray) -> float:
+    """Smallest distance of an eigenphase in (-pi, pi] to the branch point."""
     return float(np.min(np.pi - np.abs(phases)))
 
 
@@ -87,9 +87,12 @@ def check_subadditivity(u, v, cut_guard: float = linalg.CUT_GUARD,
                         seed: int | None = None) -> TheoremTrial:
     """Evaluate ||log(uv)||_F against ||log u||_F + ||log v||_F.
 
-    Trials where either factor or the product carries an eigenphase within
-    ``cut_guard`` of the branch point are skipped (the inequality's proof
-    requires a cut-free path), not counted as violations.
+    Each norm is the 2-norm of the matrix's eigenphases, ||log U||_F =
+    ||theta||_2, from one ``linalg.unitary_phases`` call per matrix, so a
+    non-unitary u or v raises ``NonUnitaryError``.  Trials where either
+    factor or the product carries an eigenphase within ``cut_guard`` of the
+    branch point are skipped (the inequality's proof requires a cut-free
+    path), not counted as violations.
     """
     u = linalg.as_square_matrix(u, "u")
     v = linalg.as_square_matrix(v, "v")
@@ -97,13 +100,13 @@ def check_subadditivity(u, v, cut_guard: float = linalg.CUT_GUARD,
         raise DimensionMismatchError(f"shape mismatch: {u.shape} vs {v.shape}")
     dim = u.shape[0]
     nan = float("nan")
-    for name, m in (("u", u), ("v", v), ("uv", u @ v)):
-        if _phase_cut_distance(m) < cut_guard:
+    phases = [linalg.unitary_phases(m) for m in (u, v, u @ v)]
+    for name, p in zip(("u", "v", "uv"), phases):
+        if _phase_cut_distance(p) < cut_guard:
             return TheoremTrial(dim, seed, nan, nan, nan, True,
                                 f"cut proximity in {name}")
-    lhs = linalg.frobenius(linalg.principal_log_u(u @ v))
-    rhs = (linalg.frobenius(linalg.principal_log_u(u))
-           + linalg.frobenius(linalg.principal_log_u(v)))
+    norm_u, norm_v, lhs = (float(np.linalg.norm(p)) for p in phases)
+    rhs = norm_u + norm_v
     return TheoremTrial(dim, seed, lhs, rhs, rhs - lhs, False, None)
 
 
@@ -136,9 +139,9 @@ def check_induction_step(x, y, s: float, ds: float) -> tuple[float, float]:
     """
     if not (0.0 <= s and s + ds <= 1.0):
         raise ValueError("s and s + ds must lie in [0, 1]")
-    z1 = linalg.principal_log_u(_path_point(x, y, s + ds))
-    z0 = linalg.principal_log_u(_path_point(x, y, s))
-    return linalg.frobenius(z1), linalg.frobenius(z0) + ds * linalg.frobenius(y)
+    z1 = linalg.principal_log_norm(_path_point(x, y, s + ds))
+    z0 = linalg.principal_log_norm(_path_point(x, y, s))
+    return z1, z0 + ds * linalg.frobenius(y)
 
 
 def trace_path(x, y, n_grid: int = 101) -> PathTrace:
@@ -154,9 +157,9 @@ def trace_path(x, y, n_grid: int = 101) -> PathTrace:
     norms = np.empty(n_grid)
     cut = np.inf
     for i, s in enumerate(grid):
-        phases = np.angle(np.linalg.eigvals(_path_point(x, y, s)))
+        phases = linalg.unitary_phases(_path_point(x, y, s))
         norms[i] = np.linalg.norm(phases)
-        cut = min(cut, float(np.min(np.pi - np.abs(phases))))
+        cut = min(cut, _phase_cut_distance(phases))
     return PathTrace(grid, norms, cut)
 
 
@@ -186,7 +189,7 @@ def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int, seed: int,
 
     def generator_norm(hb: np.ndarray) -> float:
         prod = linalg.expm_i(-hb, t) @ linalg.expm_i(ha, t)
-        return linalg.frobenius(linalg.principal_log_u(prod)) / t
+        return linalg.principal_log_norm(prod) / t
 
     anti = generator_norm(-k_ratio * ha)
     rng = np.random.default_rng(seed)

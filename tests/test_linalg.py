@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from orthotime import linalg
+from orthotime import linalg, theorem
 from orthotime.errors import (
+    ConvergenceError,
     CutProximityError,
     DimensionMismatchError,
     NonHermitianError,
@@ -73,6 +74,41 @@ class TestUnitaryEig:
             linalg.unitary_eig(2.0 * np.eye(2, dtype=complex))
 
 
+class TestUnitaryPhases:
+    def test_matches_unitary_eig_on_random_unitaries(self):
+        for dim in range(1, 7):
+            for seed in range(20):
+                u = theorem.random_unitary(dim, 1000 * dim + seed)
+                phases, _ = linalg.unitary_eig(u)
+                assert_allclose(linalg.unitary_phases(u), phases, rtol=0, atol=1e-12)
+
+    def test_identity_is_fully_degenerate(self):
+        assert_allclose(linalg.unitary_phases(np.eye(4, dtype=complex)), 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("minus_one", [complex(-1.0, 0.0), complex(-1.0, -0.0)])
+    def test_phase_tie_at_minus_pi_maps_to_plus_pi(self, minus_one):
+        phases = linalg.unitary_phases(np.diag([minus_one, 1.0]))
+        assert phases.tolist() == [0.0, np.pi]
+
+    def test_sorted_phases_maps_minus_pi_and_sorts_each_row(self):
+        values = np.array([[complex(-1.0, -0.0), 1.0, 1j], [-1j, complex(-1.0, 0.0), 1.0]])
+        expected = [0.0, np.pi / 2, np.pi], [-np.pi / 2, 0.0, np.pi]
+        assert linalg.sorted_phases(values).tolist() == list(expected)
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(NonUnitaryError):
+            linalg.unitary_phases(2.0 * np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("corrupt", [lambda w: 1.001 * w, np.conj],
+                             ids=["modulus", "trace"])
+    def test_rejects_an_inconsistent_spectrum(self, monkeypatch, corrupt):
+        u = theorem.random_unitary(4, 3)
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: corrupt(eigvals(m)))
+        with pytest.raises(ConvergenceError):
+            linalg.unitary_phases(u)
+
+
 class TestExpmI:
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(3)
@@ -139,6 +175,19 @@ class TestPrincipalLog:
         u = np.diag([np.exp(1j * (np.pi - 1e-12)), 1.0])
         with pytest.raises(CutProximityError):
             linalg.principal_log_u(u)
+
+    def test_norm_keeps_the_cut_rule(self):
+        assert linalg.principal_log_norm(np.diag([-1.0 + 0.0j, 1.0])) == np.pi
+        for phase in (np.pi - 1e-12, -np.pi + 1e-12):
+            with pytest.raises(CutProximityError):
+                linalg.principal_log_norm(np.diag([np.exp(1j * phase), 1.0]))
+
+    def test_norm_is_frobenius_norm_of_log(self):
+        rng = np.random.default_rng(41)
+        for dim in range(1, 7):
+            u = linalg.expm_i(random_hermitian(rng, dim, radius=3.0), 1.0)
+            assert_allclose(linalg.principal_log_norm(u),
+                            linalg.frobenius(linalg.principal_log_u(u)), rtol=0, atol=1e-12)
 
 
 class TestFrobenius:

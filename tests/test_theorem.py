@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from orthotime import linalg, theorem
-from orthotime.errors import DimensionMismatchError
+from orthotime.errors import DimensionMismatchError, NonUnitaryError
 from helpers import random_hermitian
 
 
@@ -58,6 +58,31 @@ class TestSubadditivity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             theorem.check_subadditivity(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+    @pytest.mark.parametrize("u, v", [
+        (2.0 * np.diag([-1.0, 1.0]), np.eye(2)),
+        (2.0 * np.eye(2), np.eye(2)),
+        (np.diag([np.exp(1j * (np.pi - 1e-12)), 1.0]), 2.0 * np.eye(2)),
+    ], ids=["near-cut", "scaled-identity", "near-cut-u-with-bad-v"])
+    def test_non_unitary_input_raises_before_the_cut_check(self, u, v):
+        with pytest.raises(NonUnitaryError):
+            theorem.check_subadditivity(u, v)
+
+    def test_norms_match_principal_log(self):
+        master = np.random.default_rng(20251018)
+        for _ in range(200):
+            dim = int(master.integers(1, 7))
+            u = theorem.random_unitary(dim, int(master.integers(2**63 - 1)))
+            v = theorem.random_unitary(dim, int(master.integers(2**63 - 1)))
+            trial = theorem.check_subadditivity(u, v)
+            if trial.skipped:
+                continue
+            ref_lhs = linalg.frobenius(linalg.principal_log_u(u @ v))
+            ref_rhs = (linalg.frobenius(linalg.principal_log_u(u))
+                       + linalg.frobenius(linalg.principal_log_u(v)))
+            tol = 1e-12 * max(1.0, ref_rhs)
+            assert abs(trial.lhs - ref_lhs) <= tol
+            assert abs(trial.rhs - ref_rhs) <= tol
 
 
 class TestInductionStep:
