@@ -180,7 +180,10 @@ class _EvolutionPair:
         return ub @ ua
 
     def phases_grid(self, ts) -> np.ndarray:
-        return linalg.sorted_phases(np.linalg.eigvals(self.product_grid(ts)))
+        phases = np.angle(np.linalg.eigvals(self.product_grid(ts)))
+        phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+        phases.sort(axis=1)
+        return phases
 
     def gap_margin(self, ts) -> np.ndarray:
         """g(t) = largest empty arc - pi, batched over times."""

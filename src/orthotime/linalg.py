@@ -107,7 +107,8 @@ def unitary_eig(u, tol: float = UNITARITY_TOL) -> EigenSystem:
         t, z = scipy.linalg.schur(u, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
-    phases = _wrap_phases(np.angle(np.diagonal(t)))
+    phases = np.angle(np.diagonal(t))
+    phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = z[:, order]
@@ -117,20 +118,7 @@ def unitary_eig(u, tol: float = UNITARITY_TOL) -> EigenSystem:
     return EigenSystem(phases, vectors)
 
 
-def _wrap_phases(phases: np.ndarray) -> np.ndarray:
-    return np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
-
-
-def sorted_phases(eigenvalues) -> np.ndarray:
-    """Arguments of ``eigenvalues`` in (-pi, pi], ascending along the last
-    axis, with a tie at -pi mapped to +pi.  No check: batched callers pass
-    eigenvalues of matrices that are unitary by construction."""
-    phases = _wrap_phases(np.angle(eigenvalues))
-    phases.sort(axis=-1)
-    return phases
-
-
-def unitary_phases(u, tol: float = UNITARITY_TOL) -> np.ndarray:
+def unitary_phases(u) -> np.ndarray:
     """Eigenphases of a unitary in (-pi, pi], ascending, from one eigenvalue
     computation without eigenvectors.
 
@@ -140,7 +128,7 @@ def unitary_phases(u, tol: float = UNITARITY_TOL) -> np.ndarray:
     the eigenvalue counterpart of the reconstruction check in
     ``unitary_eig``.
     """
-    u = assert_unitary(u, tol)
+    u = assert_unitary(u)
     try:
         values = np.linalg.eigvals(u)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -149,7 +137,10 @@ def unitary_phases(u, tol: float = UNITARITY_TOL) -> np.ndarray:
     if (np.max(np.abs(np.abs(values) - 1.0)) > limit
             or abs(values.sum() - np.trace(u)) > limit):
         raise ConvergenceError("eigenvalues are inconsistent with the input unitary")
-    return sorted_phases(values)
+    phases = np.angle(values)
+    phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+    phases.sort()
+    return phases
 
 
 def expm_i(h, t: float, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -176,11 +167,11 @@ def principal_log_u(u, cut_guard: float = CUT_GUARD, tol: float = UNITARITY_TOL)
     return 0.5 * (k + k.conj().T)
 
 
-def principal_log_norm(u, cut_guard: float = CUT_GUARD, tol: float = UNITARITY_TOL) -> float:
+def principal_log_norm(u) -> float:
     """||log u||_F for the principal logarithm, which is the 2-norm of the
     eigenphases of u; raises as ``principal_log_u`` does near the cut."""
-    phases = unitary_phases(u, tol)
-    _check_cut(phases, cut_guard)
+    phases = unitary_phases(u)
+    _check_cut(phases, CUT_GUARD)
     return float(np.linalg.norm(phases))
 
 

@@ -90,11 +90,6 @@ class TestUnitaryPhases:
         phases = linalg.unitary_phases(np.diag([minus_one, 1.0]))
         assert phases.tolist() == [0.0, np.pi]
 
-    def test_sorted_phases_maps_minus_pi_and_sorts_each_row(self):
-        values = np.array([[complex(-1.0, -0.0), 1.0, 1j], [-1j, complex(-1.0, 0.0), 1.0]])
-        expected = [0.0, np.pi / 2, np.pi], [-np.pi / 2, 0.0, np.pi]
-        assert linalg.sorted_phases(values).tolist() == list(expected)
-
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitaryError):
             linalg.unitary_phases(2.0 * np.eye(2, dtype=complex))
