@@ -227,13 +227,15 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     """First orthogonality time for the pair (ha, hb) and the optimal state.
 
     Scans the gap margin g(t) on a uniform grid over [0, t_max] and refines
-    the first instant it reaches zero (sign change by bisection, sub-grid
-    tangency by recursive subsampling).  The grid is evaluated lazily in
-    growing blocks and the scan stops at the first root, with the same result
-    as scanning every grid point (see ``_scan.first_root``).  Defaults:
-    ``t_max`` is 100x the spectral-span lower bound pi/(2 wa + 2 wb),
-    ``scan_step`` is t_max/2000 capped so the fastest eigenphase beat stays
-    resolved, and ``refine_tol`` is 1e-10 * t_max.  A given ``t_max`` or
+    the first instant it reaches zero (sub-grid tangency by recursive
+    subsampling; sign change by ``_scan.bisect_root``, safeguarded inverse
+    quadratic and secant steps, a few single-time margin evaluations on a
+    smooth crossing).  The grid is evaluated lazily in growing blocks and
+    the scan stops at the first root, with the same result as scanning every
+    grid point (see ``_scan.first_root``).  Defaults: ``t_max`` is 100x the
+    spectral-span lower bound pi/(2 wa + 2 wb), ``scan_step`` is t_max/2000
+    capped so the fastest eigenphase beat stays resolved, and ``refine_tol``
+    is 1e-10 * t_max.  A given ``t_max`` or
     ``scan_step`` must be positive.  A ``ScanContinuityWarning`` is issued
     when adjacent evaluated samples jump by more than the Lipschitz bound.
 

@@ -28,6 +28,10 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 AXIS_TOL = 1e-12
 BRANCH_TOL = 1e-12
+# Root finding: the least number of scan intervals over the horizon, and the
+# refinement tolerance relative to the horizon.
+SCAN_POINTS = 2000
+REFINE_REL_TOL = 1e-12
 
 
 def _unit_axis(axis) -> np.ndarray:
@@ -109,18 +113,20 @@ def criterion(gamma: float, omega_a: float, omega_b: float, t):
     return a * np.cos((omega_a - omega_b) * t) + b * np.cos((omega_a + omega_b) * t)
 
 
-def qubit_t_perp(gamma: float, omega_a: float, omega_b: float,
-                 n_scan: int = 2000, rel_tol: float = 1e-12) -> float | None:
+def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     """First root of the criterion within its guaranteed horizon, or None.
 
     The horizon comes from the dominant-amplitude term: pi/|wa - wb| when
     cos^2(gamma/2) > sin^2(gamma/2) (no root exists at all if additionally
     wa = wb), else pi/(wa + wb).  The scan grid is densified beyond
-    ``n_scan`` points whenever the fast beat (wa + wb) would otherwise be
-    under-resolved, then the first sign change (or boundary tangency, e.g.
-    gamma = pi/2 with equal frequencies) is refined to ``rel_tol`` relative.
-    The grid is evaluated lazily in growing blocks and the scan stops at the
-    first root, with the same result as scanning every grid point (see
+    ``SCAN_POINTS`` intervals whenever the fast beat (wa + wb) would otherwise
+    be under-resolved.  The first sign change is refined to
+    ``REFINE_REL_TOL`` relative to the horizon by ``_scan.bisect_root``
+    (safeguarded inverse quadratic and secant steps, a few criterion
+    evaluations on an ordinary row); a boundary tangency (e.g. gamma = pi/2
+    with equal frequencies) is found by the scan's touch hunt.  The grid is
+    evaluated lazily in growing blocks and the scan stops at the first root,
+    with the same result as scanning every grid point (see
     ``_scan.first_root``).
     """
     if omega_a < 0 or omega_b < 0:
@@ -138,10 +144,11 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float,
         horizon = np.pi / abs(omega_a - omega_b)
     else:
         horizon = np.pi / total
-    # Densify beyond n_scan so the fast beat stays resolved on long horizons.
+    # Densify beyond SCAN_POINTS so the fast beat stays resolved on long
+    # horizons.
     # The cap limits the grid size (sample memory is bounded by the scan's
     # block); past it the fast beat is under-resolved.
-    n = max(int(n_scan), int(np.ceil(4.0 * horizon * total / np.pi)))
+    n = max(SCAN_POINTS, int(np.ceil(4.0 * horizon * total / np.pi)))
     n = min(n, 5_000_000)
     ts = np.linspace(0.0, horizon, n + 1)
 
@@ -150,7 +157,7 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float,
 
     lip = a * abs(omega_a - omega_b) + b * total
     hit = first_root(f_batch, ts, lipschitz=max(lip, 1e-300),
-                     xtol=rel_tol * horizon, ftol=1e-13, touch_tol=1e-9)
+                     xtol=REFINE_REL_TOL * horizon, ftol=1e-13, touch_tol=1e-9)
     return float(hit.t) if hit is not None else None
 
 

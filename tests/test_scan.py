@@ -1,8 +1,10 @@
 """The lazy block scan of ``_scan.first_root`` against a full-grid reference,
-and its early stop inside both engines."""
+its early stop inside both engines, and the crossing refiner
+``_scan.bisect_root`` against brentq and plain bisection."""
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from orthotime import _scan, discriminate, qubit
 from orthotime._scan import RootHit, _scalar, _touch_hunt, bisect_root, first_root
@@ -38,7 +40,7 @@ def full_grid_first_root(f_batch, ts, lipschitz=None, xtol=1e-12, ftol=1e-11,
                     return hit
         if fs[k] <= 0.0:
             t, v = bisect_root(_scalar(f_batch), float(ts[k - 1]), float(ts[k]),
-                               float(fs[k]), xtol, ftol)
+                               float(fs[k - 1]), float(fs[k]), xtol, ftol)
             return RootHit(t, v, "crossing")
     if window is not None and 0.0 < fs[-1] <= window and fs[-1] <= fs[-2]:
         return _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, touch_tol)
@@ -260,3 +262,169 @@ def test_qubit_t_perp_stops_at_first_root(monkeypatch):
     t = qubit.qubit_t_perp(np.pi / 2 - 0.001, 1.0, 1.05)
     assert t is not None
     counter.assert_stopped_early(t)
+
+
+# ---------------------------------------------------------------------------
+# Crossing refinement
+# ---------------------------------------------------------------------------
+
+ROOT = 0.3 + 1.0 / 7.0  # not a dyadic fraction, so bisection never lands on it
+
+
+def plain_bisection_evals(f, lo, hi, f_hi, xtol, ftol):
+    """Evaluations plain bisection makes under the refiner's stop rule: the
+    reference for the refiner's worst case."""
+    best_f, evals = f_hi, 0
+    for _ in range(_scan._MAX_EVALS):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        fm = f(mid)
+        evals += 1
+        best_f = fm if abs(fm) < abs(best_f) else best_f
+        lo, hi = (lo, mid) if fm <= 0.0 else (mid, hi)
+        if hi - lo <= xtol and abs(best_f) <= ftol:
+            break
+    return evals
+
+
+def gap_margin_bracket():
+    """A grid bracket of the first sign change of a seeded d = 8 gap margin,
+    with find_t_perp's default horizon and tolerances."""
+    rng = np.random.default_rng(3)
+    pair = discriminate._EvolutionPair(random_hermitian(rng, 8), random_hermitian(rng, 8))
+    t_max = 100.0 * np.pi / pair.lipschitz
+    ts = np.linspace(0.0, t_max, 2001)
+    k = int(np.flatnonzero(pair.gap_margin(ts) <= 0.0)[0])
+    return (_scalar(pair.gap_margin), float(ts[k - 1]), float(ts[k]), 1e-10 * t_max,
+            discriminate.GAP_FTOL)
+
+
+def qubit_noise_bracket():
+    """A grid bracket of qubit_t_perp(0.3, 1, 1 + 1e-7) near t = 1.57e7: the
+    criterion's rounding noise (about 1e-10, from the 3.7e-9 float spacing of
+    (wa + wb) t) exceeds its ftol of 1e-13."""
+    gamma, wa, wb = 0.3, 1.0, 1.0 + 1e-7
+    horizon, n = np.pi / (wb - wa), 5_000_000
+    ts = horizon * np.arange(2_450_000, 2_550_000) / n
+    k = int(np.flatnonzero(qubit.criterion(gamma, wa, wb, ts) <= 0.0)[0])
+    return (lambda t: float(qubit.criterion(gamma, wa, wb, t)), float(ts[k - 1]), float(ts[k]),
+            qubit.REFINE_REL_TOL * horizon, 1e-13)
+
+
+def unit_bracket(f):
+    return f, 0.0, 1.0, 1e-12, 1e-11
+
+
+SMOOTH = {
+    "line": lambda: unit_bracket(lambda t: ROOT - t),
+    "cos": lambda: unit_bracket(lambda t: np.cos(3.0 * t)),
+    "gap-margin-d8": gap_margin_bracket,
+}
+ADVERSARIAL = {
+    "triple-root": lambda: unit_bracket(lambda t: -(t - ROOT) ** 3),
+    "step": lambda: unit_bracket(lambda t: 1.0 if t < ROOT else -1.0),
+    "steep-tanh": lambda: unit_bracket(lambda t: -np.tanh(1e6 * (t - ROOT))),
+    "sqrt-kink": lambda: unit_bracket(lambda t: np.sign(ROOT - t) * np.sqrt(abs(ROOT - t))),
+    "qubit-noise": qubit_noise_bracket,
+}
+
+
+def refine_logged(f, lo, hi, xtol, ftol):
+    evals = []
+
+    def logged(x):
+        fx = f(x)
+        evals.append((x, fx))
+        return fx
+
+    t, v = bisect_root(logged, lo, hi, f(lo), f(hi), xtol, ftol)
+    return t, v, evals
+
+
+@pytest.mark.parametrize("name", list(SMOOTH) + list(ADVERSARIAL))
+def test_refiner_brackets_and_converges(name):
+    f, lo, hi, xtol, ftol = {**SMOOTH, **ADVERSARIAL}[name]()
+    t, v, evals = refine_logged(f, lo, hi, xtol, ftol)
+    # Every evaluation lies strictly inside the bracket of the moment, and
+    # the bracket stays on bisection's schedule, _SLACK evaluations behind.
+    a, b = lo, hi
+    for k, (x, fx) in enumerate(evals, start=1):
+        assert a < x < b
+        a, b = (a, x) if fx <= 0.0 else (x, b)
+        assert b - a <= (hi - lo) * 2.0 ** (_scan._SLACK - k) + 4 * np.spacing(hi)
+    assert f(a) > 0.0 >= f(b)
+    # The result is the evaluated point with the smallest |f|.
+    assert (t, v) in evals + [(hi, f(hi))]
+    assert abs(v) == min(abs(fx) for _, fx in evals + [(hi, f(hi))])
+    assert lo <= t <= hi
+    root = brentq(f, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+    # Within xtol of the root, or at an end of a bracket one ulp wide (where
+    # |f| cannot reach ftol).
+    assert abs(t - root) <= xtol or (t in (a, b) and np.nextafter(a, b) == b)
+
+
+@pytest.mark.parametrize("name", SMOOTH)
+def test_refiner_is_fast_on_smooth_crossings(name):
+    f, lo, hi, xtol, ftol = SMOOTH[name]()
+    assert len(refine_logged(f, lo, hi, xtol, ftol)[2]) <= 8
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_refiner_stays_within_twice_bisection(name):
+    f, lo, hi, xtol, ftol = ADVERSARIAL[name]()
+    evals = len(refine_logged(f, lo, hi, xtol, ftol)[2])
+    assert evals <= 2 * plain_bisection_evals(f, lo, hi, f(hi), xtol, ftol)
+    assert evals < _scan._MAX_EVALS
+
+
+@pytest.mark.parametrize("f_lo, f_hi", [(2.0, 3.0), (0.0, -1.0), (-1.0, -2.0), (1.0, 1e-300),
+                                        (float("nan"), -1.0), (1.0, float("nan"))])
+def test_refiner_rejects_a_bracket_without_a_sign_change(f_lo, f_hi):
+    calls = []
+    with pytest.raises(ValueError):
+        bisect_root(lambda x: calls.append(x) or 1.0 + x, 1.0, 2.0, f_lo, f_hi, 1e-12, 1e-11)
+    assert not calls
+
+
+def test_touch_hunt_returns_a_nonpositive_first_subsample_as_the_crossing():
+    # Nonpositive at exactly lo and positive everywhere else: the crossing is
+    # lo itself, not a refinement of a bracket with no sign change.
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t == 1.0, -1e-16, 1e-3 + (t - 1.0))
+
+    hit = _touch_hunt(f, 1.0, 1.05, 1e-12, 1e-11, 1e-9, lipschitz=LIP)
+    assert hit == RootHit(1.0, -1e-16, "crossing")
+
+
+class _PointCounter:
+    """Counts the one-point evaluations (the crossing refinement's) an
+    evaluator sees."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.points = 0
+
+    def __call__(self, *args):
+        if np.size(args[-1]) == 1:
+            self.points += 1
+        return self.fn(*args)
+
+
+def test_find_t_perp_refines_with_few_margin_evaluations(monkeypatch):
+    counter = _PointCounter(discriminate._EvolutionPair.gap_margin)
+    monkeypatch.setattr(discriminate._EvolutionPair, "gap_margin",
+                        lambda self, ts: counter(self, ts))
+    rng = np.random.default_rng(1)
+    out = discriminate.find_t_perp(random_hermitian(rng, 8), random_hermitian(rng, 8))
+    assert isinstance(out, discriminate.DiscriminationResult)
+    assert 0 < counter.points <= 10
+
+
+@pytest.mark.parametrize("row", [(1.0, 3.0, 1.0), (0.5, 2.0, 1.0), (2.0, 1.0, 1.5)])
+def test_qubit_t_perp_refines_with_few_criterion_evaluations(monkeypatch, row):
+    counter = _PointCounter(qubit.criterion)
+    monkeypatch.setattr(qubit, "criterion", counter)
+    assert qubit.qubit_t_perp(*row) is not None
+    assert 0 < counter.points <= 12
