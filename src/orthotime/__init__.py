@@ -5,116 +5,42 @@ their evolution operators drive a common initial state to orthogonal states,
 constructs that optimal state, evaluates rigorous lower bounds on the time,
 and numerically verifies the Frobenius-norm subadditivity of principal
 logarithms of unitary products that underpins the bounds.
+
+The names below are the package's entry points; everything else is reached
+through its module, as ``orthotime.<module>.<name>``.
 """
 
 from .bounds import (
     BoundsReport,
     aa_lower_bound,
     bounds_report,
-    brody_time,
-    energy_uncertainty,
-    equality_case_norm,
-    geodesic_length,
     margolus_bound,
     saturating_pair,
     span_lower_bound,
-    spectral_half_span,
 )
 from .discriminate import (
     DiscriminationResult,
     NoOrthogonality,
-    PhaseSpectrum,
     ScanContinuityWarning,
-    bracket,
     find_t_perp,
-    max_circular_gap,
-    orthogonal_state,
-    phase_spectrum,
-    product_unitary,
 )
-from .linalg import (
-    EigenSystem,
-    expm_i,
-    frobenius,
-    herm_eig,
-    log_frechet_diag,
-    principal_log_u,
-    unitary_eig,
-)
-from .qubit import (
-    AxisAngle,
-    QubitField,
-    compose_rotations,
-    criterion,
-    discrimination_state,
-    equatorial_state,
-    mean_energy_bar,
-    qubit_hamiltonian,
-    qubit_t_perp,
-    rotation,
-    short_time_estimate,
-)
-from .theorem import (
-    ConjectureScan,
-    PathTrace,
-    TheoremTrial,
-    check_induction_step,
-    check_subadditivity,
-    conjecture_scan,
-    random_unitary,
-    run_trials,
-    trace_path,
-)
+from .qubit import qubit_t_perp
+from .theorem import check_subadditivity, run_trials
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisAngle",
-    "BoundsReport",
-    "ConjectureScan",
-    "DiscriminationResult",
-    "EigenSystem",
-    "NoOrthogonality",
-    "PhaseSpectrum",
-    "QubitField",
-    "ScanContinuityWarning",
-    "TheoremTrial",
-    "PathTrace",
-    "aa_lower_bound",
-    "bounds_report",
-    "bracket",
-    "brody_time",
-    "check_induction_step",
-    "check_subadditivity",
-    "compose_rotations",
-    "conjecture_scan",
-    "criterion",
-    "discrimination_state",
-    "energy_uncertainty",
-    "equality_case_norm",
-    "equatorial_state",
-    "expm_i",
     "find_t_perp",
-    "frobenius",
-    "geodesic_length",
-    "herm_eig",
-    "log_frechet_diag",
-    "margolus_bound",
-    "max_circular_gap",
-    "mean_energy_bar",
-    "orthogonal_state",
-    "phase_spectrum",
-    "principal_log_u",
-    "product_unitary",
-    "qubit_hamiltonian",
+    "DiscriminationResult",
+    "NoOrthogonality",
+    "ScanContinuityWarning",
     "qubit_t_perp",
-    "random_unitary",
-    "rotation",
-    "run_trials",
-    "saturating_pair",
-    "short_time_estimate",
+    "bounds_report",
+    "BoundsReport",
+    "aa_lower_bound",
     "span_lower_bound",
-    "spectral_half_span",
-    "trace_path",
-    "unitary_eig",
+    "margolus_bound",
+    "saturating_pair",
+    "check_subadditivity",
+    "run_trials",
 ]

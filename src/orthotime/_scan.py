@@ -37,6 +37,8 @@ _SLACK = 3
 # Touch hunt: samples per round, and rounds of recentring on the minimum.
 _TOUCH_POINTS = 33
 _TOUCH_ROUNDS = 40
+# A dip whose refined minimum is at most this counts as a touch root.
+TOUCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,17 @@ def bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
 
 
 def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float,
-                touch_tol: float, lipschitz: float | None = None):
+                lipschitz: float | None = None):
     """Refine a bracket suspected of dipping to (or through) zero.
 
     Subsamples the bracket with ``_TOUCH_POINTS`` points and recentres on the
     minimum, for at most ``_TOUCH_ROUNDS`` rounds.  The first nonpositive
     sample hands its bracket over to ``bisect_root``; a nonpositive first
     sample, at ``lo`` itself, is the crossing.  Otherwise the dip counts as a
-    root only when the refined minimum is <= ``touch_tol``.  With
+    root only when the refined minimum is <= ``TOUCH_TOL``.  With
     ``lipschitz``, the hunt gives up as soon as one round's samples prove
-    the curve stays above ``2 * touch_tol`` on the whole bracket (the second
-    ``touch_tol`` absorbs rounding in the samples): every later round samples
+    the curve stays above ``2 * TOUCH_TOL`` on the whole bracket (the second
+    ``TOUCH_TOL`` absorbs rounding in the samples): every later round samples
     inside that bracket, so the full refinement would return None as well.
     """
     best_t = best_f = None
@@ -147,7 +149,7 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float,
             # Lowest value a curve of slope <= lipschitz through the samples
             # can reach between two neighbours.
             floor = 0.5 * np.min(fs[:-1] + fs[1:] - lipschitz * np.diff(ts))
-            if floor > 2.0 * touch_tol:
+            if floor > 2.0 * TOUCH_TOL:
                 return None
         m = int(np.argmin(fs))
         best_t, best_f = float(ts[m]), float(fs[m])
@@ -155,7 +157,7 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float,
         if hi - lo <= width_floor:
             break
         lo, hi = float(ts[max(m - 1, 0)]), float(ts[min(m + 1, _TOUCH_POINTS - 1)])
-    if best_f is not None and best_f <= touch_tol:
+    if best_f is not None and best_f <= TOUCH_TOL:
         return RootHit(best_t, best_f, "touch")
     return None
 
@@ -170,8 +172,7 @@ def _touch_candidates(fs, window: float) -> np.ndarray:
 
 
 def first_root(f_batch, ts, lipschitz: float | None = None,
-               xtol: float = 1e-12, ftol: float = 1e-11,
-               touch_tol: float = 1e-9, on_samples=None):
+               xtol: float = 1e-12, ftol: float = 1e-11, on_samples=None):
     """Earliest root of a curve, sampled on the uniform grid ``ts``, that
     starts strictly positive.
 
@@ -218,7 +219,7 @@ def first_root(f_batch, ts, lipschitz: float | None = None,
         if window is not None:
             for j in _touch_candidates(fs[:cross], window):
                 hit = _touch_hunt(f_batch, float(ts[base + j - 1]), float(ts[base + j + 1]),
-                                  xtol, ftol, touch_tol, lipschitz=lipschitz)
+                                  xtol, ftol, lipschitz=lipschitz)
                 if hit is not None:
                     return hit
         if neg.size:
@@ -231,6 +232,6 @@ def first_root(f_batch, ts, lipschitz: float | None = None,
     # One-sided candidate at the horizon endpoint (tangency at the boundary);
     # every sample is positive here.
     if window is not None and tail[-1] <= window and tail[-1] <= tail[-2]:
-        return _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, touch_tol,
+        return _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol,
                            lipschitz=lipschitz)
     return None

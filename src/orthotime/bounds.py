@@ -21,17 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .errors import (
-    BadFrequencyError,
-    BadKError,
-    CutProximityError,
-    DimensionMismatchError,
-    FlatSpectrumError,
-    ZeroEnergyError,
-    ZeroSpanError,
-    ZeroUncertaintyError,
-)
+from . import discriminate, linalg
+from .errors import CutProximityError, DimensionMismatchError
 
 RADICAND_FLOOR = -1e-14
 
@@ -63,7 +54,7 @@ def aa_lower_bound(ha, hb, psi) -> float:
     total = da + db
     scale = linalg.frobenius(ha) + linalg.frobenius(hb)
     if total <= 1e-12 * max(scale, 1e-300):
-        raise ZeroUncertaintyError(
+        raise ValueError(
             "state is an eigenvector of both operators; it cannot discriminate them"
         )
     return float(np.pi / (2.0 * total))
@@ -85,7 +76,7 @@ def span_lower_bound(ha, hb) -> float:
     wa = spectral_half_span(ha)
     wb = spectral_half_span(hb)
     if wa + wb <= 0.0:
-        raise FlatSpectrumError("both operators are scalar; no finite bound")
+        raise ValueError("both operators are scalar; no finite bound")
     return float(np.pi / (2.0 * (wa + wb)))
 
 
@@ -93,7 +84,7 @@ def margolus_bound(e_bar: float) -> float:
     """pi / (2 e_bar): minimal orthogonalization time for average energy
     e_bar above a zero ground level."""
     if e_bar <= 0.0:
-        raise ZeroEnergyError("average energy must be positive")
+        raise ValueError("average energy must be positive")
     return float(np.pi / (2.0 * e_bar))
 
 
@@ -103,18 +94,6 @@ def geodesic_length(ha, hb, psi, t: float) -> float:
     da = energy_uncertainty(ha, psi)
     db = energy_uncertainty(hb, psi)
     return float(2.0 * (da + db) * t)
-
-
-def brody_time(overlap_mod: float, omega: float) -> float:
-    """Minimal time 2 arccos(overlap) / (2 omega) to connect two states with
-    the given overlap modulus under a generator of half-span omega."""
-    if omega <= 0.0:
-        raise ZeroSpanError("spectral half-span must be positive")
-    x = float(overlap_mod)
-    if not -1e-12 <= x <= 1.0 + 1e-12:
-        raise ValueError("overlap modulus must lie in [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    return float(2.0 * np.arccos(x) / (2.0 * omega))
 
 
 def saturating_pair(omega_a: float, omega_b: float, dim: int = 2,
@@ -128,7 +107,7 @@ def saturating_pair(omega_a: float, omega_b: float, dim: int = 2,
     of the returned triple is pi / (2 wa + 2 wb).
     """
     if omega_a <= 0.0 or omega_b <= 0.0:
-        raise BadFrequencyError("frequencies must be strictly positive")
+        raise ValueError("frequencies must be strictly positive")
     if dim < 2:
         raise DimensionMismatchError("dim must be at least 2")
     ha = np.zeros((dim, dim), dtype=complex)
@@ -153,7 +132,7 @@ def equality_case_norm(ha, k: float, t: float) -> tuple[float, float]:
     inside (-pi, pi), else the principal log would cross its cut.
     """
     if k >= 0.0:
-        raise BadKError("k must be negative")
+        raise ValueError("k must be negative")
     ha = linalg.assert_hermitian(ha, name="ha")
     values, _ = linalg.herm_eig(ha)
     reach = (1.0 - k) * abs(t) * float(np.max(np.abs(values)))
@@ -162,8 +141,7 @@ def equality_case_norm(ha, k: float, t: float) -> tuple[float, float]:
             f"(1 - k) t ha reaches phase {reach:.6f}; reduce t to stay off the cut"
         )
     hb = k * ha
-    prod = linalg.expm_i(-hb, t) @ linalg.expm_i(ha, t)
-    lhs = linalg.principal_log_norm(prod)
+    lhs = linalg.principal_log_norm(discriminate.product_unitary(ha, hb, t))
     rhs = abs(t) * linalg.frobenius(ha) + abs(t) * linalg.frobenius(hb)
     return lhs, rhs
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, discriminate, linalg, qubit, theorem
-from .errors import BadRangeError, NonHermitianError
+from .errors import NonHermitianError
 
 CSV_HEADER = "abscissa,t_perp_raw,t_perp_norm,t_lb_aa,t_lb_span,t_margolus,exists"
 VIOLATION_SLACK = 1e-9
@@ -97,11 +97,13 @@ def fig1_rows(r_min: float, r_max: float, n_points: int,
               omega_sum: float = 2.0) -> list[SweepRow]:
     """Sweep of the relative frequency difference r at perfect alignment."""
     if not 0.0 < r_min <= r_max < 1.0:
-        raise BadRangeError("need 0 < r_min <= r_max < 1")
+        raise ValueError("need 0 < r_min <= r_max < 1")
     if n_points < 1:
-        raise BadRangeError("need at least one sweep point")
+        raise ValueError("need at least one sweep point")
+    if not np.isfinite(omega_sum):
+        raise ValueError("omega_sum must be finite")
     if omega_sum <= 0.0:
-        raise BadRangeError("omega_sum must be positive")
+        raise ValueError("omega_sum must be positive")
     rows = []
     for r in np.linspace(r_min, r_max, n_points):
         omega_a = omega_sum * (1.0 + r) / 2.0
@@ -114,11 +116,13 @@ def fig2_rows(gamma_min: float, gamma_max: float, n_points: int,
               omega_ratio: float = 3.0, omega_sum: float = 2.0) -> list[SweepRow]:
     """Sweep of the alignment angle gamma at fixed frequency ratio."""
     if not 0.0 <= gamma_min <= gamma_max <= np.pi:
-        raise BadRangeError("need 0 <= gamma_min <= gamma_max <= pi")
+        raise ValueError("need 0 <= gamma_min <= gamma_max <= pi")
     if n_points < 1:
-        raise BadRangeError("need at least one sweep point")
+        raise ValueError("need at least one sweep point")
+    if not (np.isfinite(omega_ratio) and np.isfinite(omega_sum)):
+        raise ValueError("omega_ratio and omega_sum must be finite")
     if omega_ratio <= 0.0 or omega_sum <= 0.0:
-        raise BadRangeError("omega_ratio and omega_sum must be positive")
+        raise ValueError("omega_ratio and omega_sum must be positive")
     omega_a = omega_sum * omega_ratio / (1.0 + omega_ratio)
     omega_b = omega_sum / (1.0 + omega_ratio)
     rows = []
@@ -134,7 +138,10 @@ def fig2_rows(gamma_min: float, gamma_max: float, n_points: int,
 def _as_number(x, field: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"{field} must be a number")
-    return float(x)
+    value = float(x)
+    if not np.isfinite(value):
+        raise ValueError(f"{field} must be finite")
+    return value
 
 
 def _parse_matrix(obj, dim: int, field: str) -> np.ndarray:
@@ -181,7 +188,8 @@ class Problem:
 
 def load_problem(path: str) -> Problem:
     """Parse and validate a problem file; error messages name the offending
-    field."""
+    field.  Every number must be finite; ``find_t_perp`` checks that
+    ``t_max``, ``scan_step`` and ``refine_tol`` are positive."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -211,15 +219,10 @@ def load_problem(path: str) -> Problem:
         ha = _parse_matrix(data["H_a"], dim, "H_a")
         hb = _parse_matrix(data["H_b"], dim, "H_b")
 
-    def opt(field: str, positive: bool = True) -> float | None:
-        if field not in data:
-            return None
-        value = _as_number(data[field], field)
-        if positive and value <= 0.0:
-            raise ValueError(f"{field} must be positive")
-        return value
+    def opt(field: str) -> float | None:
+        return _as_number(data[field], field) if field in data else None
 
-    alpha = opt("alpha", positive=False)
+    alpha = opt("alpha")
     return Problem(ha, hb, e_bar, opt("t_max"), opt("scan_step"), opt("refine_tol"),
                    0.0 if alpha is None else alpha)
 

@@ -32,7 +32,6 @@ from ._scan import first_root
 from .errors import DimensionMismatchError
 
 GAP_FTOL = 1e-11
-TOUCH_TOL = 1e-9
 
 
 class ScanContinuityWarning(RuntimeWarning):
@@ -222,6 +221,19 @@ def _flag_jumps(samples: np.ndarray, bound: float) -> None:
         )
 
 
+def _finite_positive(value, name: str) -> float | None:
+    """``value`` as a float, or None when not given; raises ValueError
+    naming the argument unless it is finite and positive."""
+    if value is None:
+        return None
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = None,
                 refine_tol: float | None = None, alpha: float = 0.0):
     """First orthogonality time for the pair (ha, hb) and the optimal state.
@@ -235,8 +247,8 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     grid point (see ``_scan.first_root``).  Defaults: ``t_max`` is 100x the
     spectral-span lower bound pi/(2 wa + 2 wb), ``scan_step`` is t_max/2000
     capped so the fastest eigenphase beat stays resolved, and ``refine_tol``
-    is 1e-10 * t_max.  A given ``t_max`` or
-    ``scan_step`` must be positive.  A ``ScanContinuityWarning`` is issued
+    is 1e-10 * t_max.  A given ``t_max``, ``scan_step`` or ``refine_tol``
+    must be finite and positive.  A ``ScanContinuityWarning`` is issued
     when adjacent evaluated samples jump by more than the Lipschitz bound.
 
     Returns a ``DiscriminationResult`` on success.  Returns a
@@ -246,12 +258,9 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     the horizon is explicit).
     """
     pair_data = _EvolutionPair(ha, hb)
-    if t_max is not None:
-        t_max = float(t_max)
-        if t_max <= 0.0:
-            raise ValueError("t_max must be positive")
-    if scan_step is not None and scan_step <= 0.0:
-        raise ValueError("scan_step must be positive")
+    t_max = _finite_positive(t_max, "t_max")
+    scan_step = _finite_positive(scan_step, "scan_step")
+    refine_tol = _finite_positive(refine_tol, "refine_tol")
     span_sum = 2.0 * (pair_data.half_span_a + pair_data.half_span_b)
     if span_sum == 0.0:
         # Both operators scalar: the product is a global phase forever.
@@ -268,7 +277,7 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     f_batch = pair_data.trace_margin if pair_data.dim == 2 else pair_data.gap_margin
     blocks = []
     hit = first_root(f_batch, ts, lipschitz=pair_data.lipschitz, xtol=refine_tol,
-                     ftol=GAP_FTOL, touch_tol=TOUCH_TOL, on_samples=blocks.append)
+                     ftol=GAP_FTOL, on_samples=blocks.append)
     samples = np.concatenate(blocks)
     _flag_jumps(samples, pair_data.lipschitz * (ts[1] - ts[0]))
     if hit is None:

@@ -19,43 +19,3 @@ class CutProximityError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
-
-
-class NotNormalizedError(ValueError):
-    """State vector is not normalized to unit length."""
-
-
-class BadAxisError(ValueError):
-    """A field or rotation axis is not a real unit 3-vector."""
-
-
-class IdenticalOperatorsError(ValueError):
-    """The two fields coincide, so the short-time expansion degenerates."""
-
-
-class ZeroUncertaintyError(ValueError):
-    """The state is an eigenvector of both operators; no finite bound exists."""
-
-
-class FlatSpectrumError(ValueError):
-    """Both operators are scalar (zero spectral span)."""
-
-
-class ZeroEnergyError(ValueError):
-    """Average energy is zero; the evolution-time bound degenerates."""
-
-
-class ZeroSpanError(ValueError):
-    """Spectral span is zero; the minimal-time formula degenerates."""
-
-
-class BadFrequencyError(ValueError):
-    """Frequencies must be strictly positive for this construction."""
-
-
-class BadKError(ValueError):
-    """The proportionality constant must be negative for the equality case."""
-
-
-class BadRangeError(ValueError):
-    """A sweep range is empty or outside its admissible interval."""

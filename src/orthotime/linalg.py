@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatchError,
     NonHermitianError,
     NonUnitaryError,
-    NotNormalizedError,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -58,8 +57,8 @@ def as_unit_state(psi, dim: int) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (dim,):
         raise DimensionMismatchError(f"state shape {psi.shape} does not match dimension {dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
-        raise NotNormalizedError("state vector must have unit norm")
+    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
+        raise ValueError("state vector must have unit norm")
     return psi
 
 
@@ -68,26 +67,30 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=complex)))
 
 
-def assert_hermitian(h, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Return ``h`` as a complex array, or raise if ||h - h*||_F > tol ||h||_F."""
+def assert_hermitian(h, name: str = "matrix") -> np.ndarray:
+    """Return ``h`` as a complex array, or raise unless
+    ||h - h*||_F <= ``HERMITICITY_TOL`` ||h||_F (so NaN or Inf entries raise)."""
     h = as_square_matrix(h, name)
-    if np.linalg.norm(h - h.conj().T) > tol * np.linalg.norm(h):
-        raise NonHermitianError(f"{name} fails the Hermiticity tolerance {tol}")
+    if not np.linalg.norm(h - h.conj().T) <= HERMITICITY_TOL * np.linalg.norm(h):
+        raise NonHermitianError(f"{name} fails the Hermiticity tolerance {HERMITICITY_TOL}")
     return h
 
 
-def assert_unitary(u, tol: float = UNITARITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Return ``u`` as a complex array, or raise if ||u* u - 1||_F > tol."""
+def assert_unitary(u, name: str = "matrix") -> np.ndarray:
+    """Return ``u`` as a complex array, or raise unless
+    ||u* u - 1||_F <= ``UNITARITY_TOL`` (so NaN or Inf entries raise)."""
     u = as_square_matrix(u, name)
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > tol:
-        raise NonUnitaryError(f"{name} fails the unitarity tolerance {tol} (defect {defect:.3e})")
+    if not defect <= UNITARITY_TOL:
+        raise NonUnitaryError(
+            f"{name} fails the unitarity tolerance {UNITARITY_TOL} (defect {defect:.3e})"
+        )
     return u
 
 
-def herm_eig(h, tol: float = HERMITICITY_TOL) -> EigenSystem:
+def herm_eig(h) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    h = assert_hermitian(h, tol)
+    h = assert_hermitian(h)
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -95,14 +98,14 @@ def herm_eig(h, tol: float = HERMITICITY_TOL) -> EigenSystem:
     return EigenSystem(values, vectors)
 
 
-def unitary_eig(u, tol: float = UNITARITY_TOL) -> EigenSystem:
+def unitary_eig(u) -> EigenSystem:
     """Eigenphases in (-pi, pi], ascending, with an orthonormal eigenbasis.
 
     Uses the complex Schur form: for a (numerically) normal matrix its
     triangular factor is diagonal, which gives an orthonormal eigenbasis even
     across degenerate eigenvalues, unlike a generic eigensolver.
     """
-    u = assert_unitary(u, tol)
+    u = assert_unitary(u)
     try:
         t, z = scipy.linalg.schur(u, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -134,8 +137,8 @@ def unitary_phases(u) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceError(f"eigenvalue solver failed: {exc}") from exc
     limit = RECONSTRUCTION_TOL * max(np.linalg.norm(u), 1.0)
-    if (np.max(np.abs(np.abs(values) - 1.0)) > limit
-            or abs(values.sum() - np.trace(u)) > limit):
+    if not (np.max(np.abs(np.abs(values) - 1.0)) <= limit
+            and abs(values.sum() - np.trace(u)) <= limit):
         raise ConvergenceError("eigenvalues are inconsistent with the input unitary")
     phases = np.angle(values)
     phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
@@ -143,26 +146,26 @@ def unitary_phases(u) -> np.ndarray:
     return phases
 
 
-def expm_i(h, t: float, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def expm_i(h, t: float) -> np.ndarray:
     """Evolution factor exp(-i h t) for Hermitian h, computed spectrally.
 
     The spectral route is exact up to eigensolver error and unitary by
     construction, which is why it is preferred over a series or Pade form.
     """
-    values, vectors = herm_eig(h, tol)
+    values, vectors = herm_eig(h)
     return (vectors * np.exp(-1j * values * float(t))) @ vectors.conj().T
 
 
-def principal_log_u(u, cut_guard: float = CUT_GUARD, tol: float = UNITARITY_TOL) -> np.ndarray:
+def principal_log_u(u) -> np.ndarray:
     """Hermitian k with exp(i k) = u and the spectrum of k inside (-pi, pi].
 
-    Raises ``CutProximityError`` when an eigenphase falls within ``cut_guard``
+    Raises ``CutProximityError`` when an eigenphase falls within ``CUT_GUARD``
     of the branch point -1, where the principal logarithm is discontinuous.
     A phase equal to +pi exactly sits on the included end of the half-open
     interval and is allowed.
     """
-    phases, vectors = unitary_eig(u, tol)
-    _check_cut(phases, cut_guard)
+    phases, vectors = unitary_eig(u)
+    _check_cut(phases)
     k = (vectors * phases) @ vectors.conj().T
     return 0.5 * (k + k.conj().T)
 
@@ -171,27 +174,26 @@ def principal_log_norm(u) -> float:
     """||log u||_F for the principal logarithm, which is the 2-norm of the
     eigenphases of u; raises as ``principal_log_u`` does near the cut."""
     phases = unitary_phases(u)
-    _check_cut(phases, CUT_GUARD)
+    _check_cut(phases)
     return float(np.linalg.norm(phases))
 
 
-def _check_cut(phases: np.ndarray, cut_guard: float) -> None:
-    """Raise ``CutProximityError`` for a phase within ``cut_guard`` of -1.
+def _check_cut(phases: np.ndarray) -> None:
+    """Raise ``CutProximityError`` for a phase within ``CUT_GUARD`` of -1.
 
     A phase equal to +pi exactly sits on the included end of the half-open
     interval and is allowed.
     """
     distance = np.pi - np.abs(phases)
-    near_cut = (distance < cut_guard) & (phases != np.pi)
+    near_cut = (distance < CUT_GUARD) & (phases != np.pi)
     if np.any(near_cut):
         worst = float(distance[near_cut].min())
         raise CutProximityError(
-            f"eigenphase within {worst:.3e} of the branch point -1 (guard {cut_guard})"
+            f"eigenphase within {worst:.3e} of the branch point -1 (guard {CUT_GUARD})"
         )
 
 
-def log_frechet_diag(g, h, cut_guard: float = CUT_GUARD,
-                     coincident_tol: float = COINCIDENT_TOL) -> np.ndarray:
+def log_frechet_diag(g, h) -> np.ndarray:
     """Directional derivative of the matrix logarithm at a diagonal point.
 
     For diagonal ``g`` the derivative of log(g + s h) at s = 0 is the
@@ -200,7 +202,7 @@ def log_frechet_diag(g, h, cut_guard: float = CUT_GUARD,
         (log g_jj - log g_kk) / (g_jj - g_kk)   for j != k,
         1 / g_jj                                on the diagonal,
 
-    where entries closer than ``coincident_tol`` use the diagonal limit.
+    where entries closer than ``COINCIDENT_TOL`` use the diagonal limit.
     """
     g = as_square_matrix(g, "g")
     h = as_square_matrix(h, "h")
@@ -209,12 +211,12 @@ def log_frechet_diag(g, h, cut_guard: float = CUT_GUARD,
     if np.any(g - np.diag(np.diagonal(g)) != 0):
         raise ValueError("g must be diagonal")
     d = np.diagonal(g)
-    if np.any(np.abs(d) < cut_guard) or np.any(np.pi - np.abs(np.angle(d)) < cut_guard):
+    if np.any(np.abs(d) < CUT_GUARD) or np.any(np.pi - np.abs(np.angle(d)) < CUT_GUARD):
         raise CutProximityError("a diagonal entry lies on or near the logarithm cut")
     diff = d[:, None] - d[None, :]
     logs = np.log(d)
     with np.errstate(divide="ignore", invalid="ignore"):
         table = (logs[:, None] - logs[None, :]) / diff
     limit = np.broadcast_to((1.0 / d)[:, None], table.shape)
-    table = np.where(np.abs(diff) < coincident_tol, limit, table)
+    table = np.where(np.abs(diff) < COINCIDENT_TOL, limit, table)
     return table * h

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ._scan import first_root
-from .errors import BadAxisError, IdenticalOperatorsError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -28,18 +27,20 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 AXIS_TOL = 1e-12
 BRANCH_TOL = 1e-12
-# Root finding: the least number of scan intervals over the horizon, and the
-# refinement tolerance relative to the horizon.
+# Root finding: the least number of scan intervals over the horizon, the
+# refinement tolerance relative to the horizon, and the criterion value at
+# which a refined crossing is accepted.
 SCAN_POINTS = 2000
 REFINE_REL_TOL = 1e-12
+REFINE_FTOL = 1e-13
 
 
 def _unit_axis(axis) -> np.ndarray:
     a = np.asarray(axis, dtype=float)
     if a.shape != (3,):
-        raise BadAxisError(f"axis must be a real 3-vector, got shape {a.shape}")
-    if abs(np.linalg.norm(a) - 1.0) > AXIS_TOL:
-        raise BadAxisError("axis must have unit length")
+        raise ValueError(f"axis must be a real 3-vector, got shape {a.shape}")
+    if not abs(np.linalg.norm(a) - 1.0) <= AXIS_TOL:
+        raise ValueError("axis must have unit length")
     return a
 
 
@@ -127,8 +128,11 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     with equal frequencies) is found by the scan's touch hunt.  The grid is
     evaluated lazily in growing blocks and the scan stops at the first root,
     with the same result as scanning every grid point (see
-    ``_scan.first_root``).
+    ``_scan.first_root``).  A non-finite gamma or frequency raises
+    ValueError.
     """
+    if not np.all(np.isfinite([gamma, omega_a, omega_b])):
+        raise ValueError("gamma and the frequencies must be finite")
     if omega_a < 0 or omega_b < 0:
         raise ValueError("frequencies must be nonnegative")
     total = omega_a + omega_b
@@ -157,21 +161,8 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
 
     lip = a * abs(omega_a - omega_b) + b * total
     hit = first_root(f_batch, ts, lipschitz=max(lip, 1e-300),
-                     xtol=REFINE_REL_TOL * horizon, ftol=1e-13, touch_tol=1e-9)
+                     xtol=REFINE_REL_TOL * horizon, ftol=REFINE_FTOL)
     return float(hit.t) if hit is not None else None
-
-
-def short_time_estimate(omega_a: float, omega_b: float, cos_gamma: float) -> float:
-    """sqrt(8 / (wa^2 + wb^2 - 2 wa wb cos_gamma)).
-
-    A formal small-time expansion of the criterion; it diverges as the two
-    fields approach each other and is exposed only as that divergence
-    diagnostic, not as a usable time estimate.
-    """
-    denom = omega_a**2 + omega_b**2 - 2.0 * omega_a * omega_b * cos_gamma
-    if denom <= 1e-15:
-        raise IdenticalOperatorsError("fields coincide; the expansion degenerates")
-    return float(np.sqrt(8.0 / denom))
 
 
 def mean_energy_bar(omega_a: float, omega_b: float, cos_gamma: float) -> float:

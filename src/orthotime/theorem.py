@@ -8,11 +8,12 @@ defined (no eigenvalue on the cut at -1),
 Equivalently, for Hermitian X, Y with spectra in (-pi, pi], the Hermitian
 generator Z(s) of e^{i Z(s)} = e^{i X} e^{i s Y} satisfies
 ||Z(s)||_F <= ||X||_F + s ||Y||_F, provided the path never crosses the cut.
-This module samples seeded random instances of the endpoint inequality, the
-finite-step induction inequality, and the path trace, and scans the related
-maximality statement: among traceless Hermitian hb of fixed Frobenius norm,
-the norm of the product generator log(e^{i hb t} e^{-i ha t}) / t is largest
-for hb proportional to ha with a negative constant.
+This module samples seeded random instances of the endpoint inequality and
+checks the finite-step induction inequality along the path, one step at a
+time; it also scans the related maximality statement: among traceless
+Hermitian hb of fixed Frobenius norm, the norm of the product generator
+log(e^{i hb t} e^{-i ha t}) / t is largest for hb proportional to ha with a
+negative constant.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import discriminate, linalg
 from .errors import CutProximityError, DimensionMismatchError
 
 
@@ -37,19 +38,6 @@ class TheoremTrial:
     margin: float
     skipped: bool
     skip_reason: str | None
-
-
-@dataclass(frozen=True)
-class PathTrace:
-    """Norms ||Z(s)||_F on a uniform grid of s in [0, 1], with the minimal
-    eigenphase distance of e^{iX} e^{isY} to the branch point over the grid."""
-
-    grid: np.ndarray
-    norms: np.ndarray
-    min_cut_distance: float
-
-    def valid(self, cut_guard: float = linalg.CUT_GUARD) -> bool:
-        return self.min_cut_distance > cut_guard
 
 
 @dataclass(frozen=True)
@@ -83,16 +71,15 @@ def _phase_cut_distance(phases: np.ndarray) -> float:
     return float(np.min(np.pi - np.abs(phases)))
 
 
-def check_subadditivity(u, v, cut_guard: float = linalg.CUT_GUARD,
-                        seed: int | None = None) -> TheoremTrial:
+def check_subadditivity(u, v, seed: int | None = None) -> TheoremTrial:
     """Evaluate ||log(uv)||_F against ||log u||_F + ||log v||_F.
 
     Each norm is the 2-norm of the matrix's eigenphases, ||log U||_F =
     ||theta||_2, from one ``linalg.unitary_phases`` call per matrix, so a
     non-unitary u or v raises ``NonUnitaryError``.  Trials where either
-    factor or the product carries an eigenphase within ``cut_guard`` of the
-    branch point are skipped (the inequality's proof requires a cut-free
-    path), not counted as violations.
+    factor or the product carries an eigenphase within ``linalg.CUT_GUARD``
+    of the branch point are skipped (the inequality's proof requires a
+    cut-free path), not counted as violations.
     """
     u = linalg.as_square_matrix(u, "u")
     v = linalg.as_square_matrix(v, "v")
@@ -102,7 +89,7 @@ def check_subadditivity(u, v, cut_guard: float = linalg.CUT_GUARD,
     nan = float("nan")
     phases = [linalg.unitary_phases(m) for m in (u, v, u @ v)]
     for name, p in zip(("u", "v", "uv"), phases):
-        if _phase_cut_distance(p) < cut_guard:
+        if _phase_cut_distance(p) < linalg.CUT_GUARD:
             return TheoremTrial(dim, seed, nan, nan, nan, True,
                                 f"cut proximity in {name}")
     norm_u, norm_v, lhs = (float(np.linalg.norm(p)) for p in phases)
@@ -144,25 +131,6 @@ def check_induction_step(x, y, s: float, ds: float) -> tuple[float, float]:
     return z1, z0 + ds * linalg.frobenius(y)
 
 
-def trace_path(x, y, n_grid: int = 101) -> PathTrace:
-    """Evaluate ||Z(s)||_F on a uniform grid over [0, 1].
-
-    Cut proximity anywhere on the grid is reported through
-    ``min_cut_distance`` (and ``valid()``) rather than raised, so invalid
-    paths can be inspected.
-    """
-    if n_grid < 2:
-        raise ValueError("n_grid must be at least 2")
-    grid = np.linspace(0.0, 1.0, n_grid)
-    norms = np.empty(n_grid)
-    cut = np.inf
-    for i, s in enumerate(grid):
-        phases = linalg.unitary_phases(_path_point(x, y, s))
-        norms[i] = np.linalg.norm(phases)
-        cut = min(cut, _phase_cut_distance(phases))
-    return PathTrace(grid, norms, cut)
-
-
 def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int, seed: int,
                     traceless: bool = True) -> ConjectureScan:
     """Compare ||log(e^{i hb t} e^{-i ha t})||_F / t over random fixed-norm
@@ -188,8 +156,7 @@ def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int, seed: int,
     target = k_ratio * norm_a
 
     def generator_norm(hb: np.ndarray) -> float:
-        prod = linalg.expm_i(-hb, t) @ linalg.expm_i(ha, t)
-        return linalg.principal_log_norm(prod) / t
+        return linalg.principal_log_norm(discriminate.product_unitary(ha, hb, t)) / t
 
     anti = generator_norm(-k_ratio * ha)
     rng = np.random.default_rng(seed)

@@ -105,10 +105,65 @@ class TestInputValidation:
         assert code == 1
         assert "qubit.gama" in err
 
+    @pytest.mark.parametrize("field", ["t_max", "scan_step", "refine_tol"])
+    def test_nonpositive_problem_value_names_field(self, tmp_path, capsys, field):
+        path = write_problem(tmp_path, dict(SZ_PAIR, **{field: -1.0}))
+        code, _, err = run_cli(["discriminate", "--input", path], capsys)
+        assert code == 1
+        assert err == f"error: {field} must be positive\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["discriminate", "--input", "/nonexistent.json"], capsys)
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestNonFiniteInput:
+    """JSON accepts the tokens Infinity and NaN, and argparse accepts inf and
+    nan; each must end in a one-line error naming the field, not a traceback
+    or a report."""
+
+    @pytest.mark.parametrize("extra, field", [
+        ({"t_max": float("inf")}, "t_max"),
+        ({"scan_step": float("nan")}, "scan_step"),
+        ({"alpha": float("nan")}, "alpha"),
+        ({"H_a": [[[float("inf"), 0], [0, 0]], [[0, 0], [-1, 0]]]}, "H_a[0][0][0]"),
+    ])
+    def test_problem_file(self, tmp_path, capsys, extra, field):
+        path = write_problem(tmp_path, dict(SZ_PAIR, **extra))
+        code, out, err = run_cli(["discriminate", "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    def test_qubit_frequency(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {
+            "qubit": {"omega_a": 3.0, "omega_b": float("nan"), "gamma": 1.0},
+        })
+        code, _, err = run_cli(["bounds", "--input", path], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "qubit.omega_b" in err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--tol", "-1"], "refine_tol"),
+        (["--tol", "0"], "refine_tol"),
+        (["--tol", "nan"], "refine_tol"),
+        (["--t-max", "inf"], "t_max"),
+    ])
+    def test_flags(self, tmp_path, capsys, flags, field):
+        path = write_problem(tmp_path, SZ_PAIR)
+        code, out, err = run_cli(["discriminate", "--input", path] + flags, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["fig1", "--omega-sum", "inf"], "omega_sum"),
+        (["fig2", "--omega-ratio", "inf"], "omega_ratio"),
+        (["fig2", "--omega-sum", "nan"], "omega_sum"),
+    ])
+    def test_sweep_frequencies(self, capsys, argv, field):
+        code, out, err = run_cli(argv + ["--points", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and field in err
 
 
 class TestBoundsCommand:

@@ -19,7 +19,7 @@ from orthotime.discriminate import (
     phase_spectrum,
     product_unitary,
 )
-from orthotime.errors import DimensionMismatchError, NotNormalizedError
+from orthotime.errors import DimensionMismatchError
 from helpers import SX, SZ, qubit_horizon, random_axis, random_hermitian
 
 
@@ -149,7 +149,7 @@ class TestBracket:
             assert abs(abs(bracket(psi, h, h, t)) - 1.0) <= 1e-12
 
     def test_requires_unit_norm(self):
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(ValueError, match="state vector must have unit norm"):
             bracket(np.array([1.0, 1.0], complex), SZ, SX, 1.0)
 
     def test_dimension_mismatch(self):
@@ -256,6 +256,22 @@ class TestFindTPerp:
     def test_nonpositive_horizon_or_step_raises(self, ha, hb, kwargs):
         with pytest.raises(ValueError):
             find_t_perp(ha, hb, **kwargs)
+
+    @pytest.mark.parametrize("ha, hb", [(2.0 * np.eye(3, dtype=complex),
+                                         -np.eye(3, dtype=complex)), (SZ, SX)])
+    @pytest.mark.parametrize("name, value, message", [
+        ("t_max", np.inf, "t_max must be finite"),
+        ("t_max", np.nan, "t_max must be finite"),
+        ("scan_step", np.inf, "scan_step must be finite"),
+        ("scan_step", np.nan, "scan_step must be finite"),
+        ("refine_tol", -1.0, "refine_tol must be positive"),
+        ("refine_tol", 0.0, "refine_tol must be positive"),
+        ("refine_tol", np.nan, "refine_tol must be finite"),
+        ("refine_tol", np.inf, "refine_tol must be finite"),
+    ])
+    def test_non_finite_or_nonpositive_argument_is_named(self, ha, hb, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            find_t_perp(ha, hb, **{name: value})
 
     def test_one_dimensional_never_orthogonal(self):
         out = find_t_perp(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]), t_max=4.0)

@@ -33,6 +33,11 @@ class TestHermEig:
             assert np.linalg.norm(recon - h) <= 1e-10 * np.linalg.norm(h)
             assert np.all(np.diff(values) >= 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(NonHermitianError, match="fails the Hermiticity tolerance"):
+            linalg.herm_eig(np.diag([bad, 1.0]).astype(complex))
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             linalg.herm_eig(np.array([[0, 1], [0, 0]], complex))
@@ -73,6 +78,11 @@ class TestUnitaryEig:
         with pytest.raises(NonUnitaryError):
             linalg.unitary_eig(2.0 * np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_assert_unitary_rejects_non_finite_entries(self, bad):
+        with pytest.raises(NonUnitaryError, match="fails the unitarity tolerance"):
+            linalg.assert_unitary(np.diag([bad, 1.0]).astype(complex))
+
 
 class TestUnitaryPhases:
     def test_matches_unitary_eig_on_random_unitaries(self):
@@ -94,14 +104,25 @@ class TestUnitaryPhases:
         with pytest.raises(NonUnitaryError):
             linalg.unitary_phases(2.0 * np.eye(2, dtype=complex))
 
-    @pytest.mark.parametrize("corrupt", [lambda w: 1.001 * w, np.conj],
-                             ids=["modulus", "trace"])
+    def test_rejects_a_nan_unitary_as_non_unitary(self):
+        with pytest.raises(NonUnitaryError, match="fails the unitarity tolerance"):
+            linalg.unitary_phases(np.diag([np.nan, 1.0]).astype(complex))
+
+    @pytest.mark.parametrize("corrupt", [lambda w: 1.001 * w, np.conj,
+                                         lambda w: np.full_like(w, np.nan)],
+                             ids=["modulus", "trace", "nan"])
     def test_rejects_an_inconsistent_spectrum(self, monkeypatch, corrupt):
         u = theorem.random_unitary(4, 3)
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: corrupt(eigvals(m)))
         with pytest.raises(ConvergenceError):
             linalg.unitary_phases(u)
+
+
+class TestAsUnitState:
+    def test_rejects_a_nan_entry(self):
+        with pytest.raises(ValueError, match="state vector must have unit norm"):
+            linalg.as_unit_state(np.array([np.nan, 0.0]), 2)
 
 
 class TestExpmI:

@@ -1,0 +1,73 @@
+"""The package's public surface is pinned so it cannot grow back unnoticed:
+the top-level exports, the exception classes, and the rule that tolerances
+are module constants rather than parameters."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import orthotime
+from orthotime import _scan, bounds, errors, linalg, qubit, theorem
+
+SRC = Path(orthotime.__file__).resolve().parent
+
+EXPORTS = [
+    "find_t_perp",
+    "DiscriminationResult",
+    "NoOrthogonality",
+    "ScanContinuityWarning",
+    "qubit_t_perp",
+    "bounds_report",
+    "BoundsReport",
+    "aa_lower_bound",
+    "span_lower_bound",
+    "margolus_bound",
+    "saturating_pair",
+    "check_subadditivity",
+    "run_trials",
+]
+
+ERRORS = {
+    "NonHermitianError",
+    "NonUnitaryError",
+    "ConvergenceError",
+    "CutProximityError",
+    "DimensionMismatchError",
+}
+
+TOLERANCE_PARAMETERS = {"tol", "cut_guard", "coincident_tol", "touch_tol"}
+
+
+def test_exports_are_pinned_and_resolve():
+    assert orthotime.__all__ == EXPORTS
+    for name in EXPORTS:
+        assert getattr(orthotime, name) is not None
+
+
+def test_errors_defines_the_kept_classes_and_each_is_raised():
+    defined = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    assert defined == ERRORS
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert ERRORS <= raised
+
+
+def _public_functions(module):
+    return [obj for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__
+            and not name.startswith("_")]
+
+
+def test_no_tolerance_parameters():
+    functions = [fn for module in (linalg, theorem, bounds, qubit)
+                 for fn in _public_functions(module)]
+    functions += [_scan.first_root, _scan._touch_hunt]
+    for fn in functions:
+        params = set(inspect.signature(fn).parameters)
+        assert not params & TOLERANCE_PARAMETERS, fn.__qualname__

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from orthotime import bounds, linalg, qubit
-from orthotime.errors import BadAxisError, IdenticalOperatorsError
 from helpers import SX, SZ, random_axis
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -32,8 +31,12 @@ class TestQubitHamiltonian:
             assert_allclose(values, [r0 - omega, r0 + omega], atol=1e-12)
 
     def test_rejects_non_unit_axis(self):
-        with pytest.raises(BadAxisError):
+        with pytest.raises(ValueError, match="axis must have unit length"):
             qubit.QubitField(1.0, np.array([1.0, 1.0, 0.0]))
+
+    def test_rejects_a_nan_axis(self):
+        with pytest.raises(ValueError, match="axis must have unit length"):
+            qubit.QubitField(1.0, np.array([np.nan, 0.0, 0.0]))
 
 
 class TestRotation:
@@ -154,22 +157,11 @@ class TestQubitTPerp:
         with pytest.raises(ValueError):
             qubit.qubit_t_perp(0.3, 0.0, 0.0)
 
-
-class TestShortTimeEstimate:
-    def test_anti_aligned_equal_frequencies(self):
-        assert_allclose(qubit.short_time_estimate(2.0, 2.0, -1.0), np.sqrt(2.0) / 2.0)
-
-    def test_aligned_three_to_one(self):
-        assert_allclose(qubit.short_time_estimate(3.0, 1.0, 1.0), np.sqrt(2.0))
-
-    def test_diverges_for_nearly_identical_fields(self):
-        values = [qubit.short_time_estimate(1.0, 1.0, 1.0 - eps)
-                  for eps in (1e-2, 1e-4, 1e-6)]
-        assert values[0] < values[1] < values[2]
-
-    def test_identical_fields_raise(self):
-        with pytest.raises(IdenticalOperatorsError):
-            qubit.short_time_estimate(1.0, 1.0, 1.0)
+    @pytest.mark.parametrize("args", [(np.nan, 1.0, 2.0), (0.3, np.inf, 2.0), (0.3, 1.0, np.nan),
+                                      (np.inf, 3.0, 1.0)])
+    def test_rejects_non_finite_input(self, args):
+        with pytest.raises(ValueError, match="gamma and the frequencies must be finite"):
+            qubit.qubit_t_perp(*args)
 
 
 class TestMeanEnergyBar:

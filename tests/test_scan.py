@@ -17,8 +17,7 @@ WINDOW = LIP * STEP
 EDGES = (63, 64, 65, 191, 192)
 
 
-def full_grid_first_root(f_batch, ts, lipschitz=None, xtol=1e-12, ftol=1e-11,
-                         touch_tol=1e-9):
+def full_grid_first_root(f_batch, ts, lipschitz=None, xtol=1e-12, ftol=1e-11):
     """Reference: sample the whole grid, then walk it point by point."""
     ts = np.asarray(ts, dtype=float)
     n = ts.size
@@ -34,8 +33,7 @@ def full_grid_first_root(f_batch, ts, lipschitz=None, xtol=1e-12, ftol=1e-11,
             j = k - 1
             if (0.0 < fs[j] <= window and fs[j - 1] >= fs[j] <= fs[k]
                     and fs[j - 1] > 0.0 and fs[k] > 0.0):
-                hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[k]),
-                                  xtol, ftol, touch_tol)
+                hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[k]), xtol, ftol)
                 if hit is not None:
                     return hit
         if fs[k] <= 0.0:
@@ -43,7 +41,7 @@ def full_grid_first_root(f_batch, ts, lipschitz=None, xtol=1e-12, ftol=1e-11,
                                float(fs[k - 1]), float(fs[k]), xtol, ftol)
             return RootHit(t, v, "crossing")
     if window is not None and 0.0 < fs[-1] <= window and fs[-1] <= fs[-2]:
-        return _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, touch_tol)
+        return _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol)
     return None
 
 
@@ -177,8 +175,8 @@ def test_block_cap_is_respected():
 def test_touch_hunt_early_exit_matches_full_refinement(floor, shift):
     f = dip_at(200, floor, shift=shift)
     lo, hi = grid()[199], grid()[201]
-    full = _touch_hunt(f, lo, hi, 1e-12, 1e-11, 1e-9)
-    assert _touch_hunt(f, lo, hi, 1e-12, 1e-11, 1e-9, lipschitz=LIP) == full
+    full = _touch_hunt(f, lo, hi, 1e-12, 1e-11)
+    assert _touch_hunt(f, lo, hi, 1e-12, 1e-11, lipschitz=LIP) == full
 
 
 def test_touch_hunt_gives_up_once_the_dip_clears_the_tolerance():
@@ -191,7 +189,7 @@ def test_touch_hunt_gives_up_once_the_dip_clears_the_tolerance():
             sizes.append(np.size(t))
             return f(t)
 
-        assert _touch_hunt(counted, grid()[199], grid()[201], 1e-12, 1e-11, 1e-9,
+        assert _touch_hunt(counted, grid()[199], grid()[201], 1e-12, 1e-11,
                            lipschitz=lipschitz) is None
         rounds[lipschitz] = len(sizes)
     assert rounds[LIP] == 1 < rounds[None]
@@ -309,7 +307,7 @@ def qubit_noise_bracket():
     ts = horizon * np.arange(2_450_000, 2_550_000) / n
     k = int(np.flatnonzero(qubit.criterion(gamma, wa, wb, ts) <= 0.0)[0])
     return (lambda t: float(qubit.criterion(gamma, wa, wb, t)), float(ts[k - 1]), float(ts[k]),
-            qubit.REFINE_REL_TOL * horizon, 1e-13)
+            qubit.REFINE_REL_TOL * horizon, qubit.REFINE_FTOL)
 
 
 def unit_bracket(f):
@@ -394,7 +392,7 @@ def test_touch_hunt_returns_a_nonpositive_first_subsample_as_the_crossing():
         t = np.asarray(t, dtype=float)
         return np.where(t == 1.0, -1e-16, 1e-3 + (t - 1.0))
 
-    hit = _touch_hunt(f, 1.0, 1.05, 1e-12, 1e-11, 1e-9, lipschitz=LIP)
+    hit = _touch_hunt(f, 1.0, 1.05, 1e-12, 1e-11, lipschitz=LIP)
     assert hit == RootHit(1.0, -1e-16, "crossing")
 
 

@@ -116,37 +116,6 @@ class TestInductionStep:
                                          np.zeros((2, 2), complex), 0.9, 0.2)
 
 
-class TestTracePath:
-    def test_zero_y_is_constant(self):
-        rng = np.random.default_rng(17)
-        x = random_hermitian(rng, 3, radius=1.0)
-        trace = theorem.trace_path(x, np.zeros((3, 3), complex), n_grid=21)
-        assert_allclose(trace.norms, linalg.frobenius(x), atol=1e-12)
-        assert trace.valid()
-
-    def test_zero_x_is_linear(self):
-        rng = np.random.default_rng(19)
-        y = random_hermitian(rng, 3, radius=1.0)
-        trace = theorem.trace_path(np.zeros((3, 3), complex), y, n_grid=21)
-        assert_allclose(trace.norms, trace.grid * linalg.frobenius(y), atol=1e-12)
-
-    def test_cumulative_bound_on_valid_paths(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            d = int(rng.integers(2, 5))
-            x = random_hermitian(rng, d, radius=np.pi / 4)
-            y = random_hermitian(rng, d, radius=np.pi / 4)
-            trace = theorem.trace_path(x, y, n_grid=41)
-            assert trace.valid()
-            cap = linalg.frobenius(x) + trace.grid * linalg.frobenius(y)
-            assert np.all(trace.norms <= cap + 1e-8)
-
-    def test_cut_crossing_reported_not_raised(self):
-        x = np.diag([np.pi - 1e-12, 0.0]).astype(complex)
-        trace = theorem.trace_path(x, np.zeros((2, 2), complex), n_grid=5)
-        assert not trace.valid()
-
-
 class TestConjectureScan:
     def test_anti_aligned_reaches_exact_value(self):
         rng = np.random.default_rng(29)
