@@ -12,11 +12,11 @@ superlinearly on a smooth crossing (about four evaluations where bisection
 needs thirty), held to bisection's schedule by an ITP-style projection so
 that no curve costs more than ``_SLACK`` evaluations beyond bisection.
 
-The grid is evaluated lazily, in consecutive blocks of ``_FIRST_BLOCK``
-points doubling up to ``_MAX_BLOCK``, and the scan stops at the first root,
-so a root early in the horizon costs a few blocks rather than the whole grid.
-The result is the same, bit for bit, as sampling every grid point first
-(see ``first_root``), and sample memory is bounded by the largest block.
+The scan computes its own abscissae, a block at a time, on the uniform grid
+of n intervals over [0, t_end] and stops at the first root.  No grid is
+materialized: a root early in the horizon costs a few blocks, and memory is
+bounded by one block whatever the step.  The result is the same, bit for
+bit, as sampling every grid point first (see ``first_root``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ TOUCH_TOL = 1e-9
 class RootHit:
     t: float
     value: float
-    kind: str  # "crossing" or "touch"
+    kind: str  # "crossing", "touch", or "none" for the lowest sample of a rootless scan
 
 
 def _scalar(f_batch):
@@ -119,19 +119,19 @@ def bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
     return best_t, best_f
 
 
-def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float,
-                lipschitz: float | None = None):
+def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschitz: float):
     """Refine a bracket suspected of dipping to (or through) zero.
 
     Subsamples the bracket with ``_TOUCH_POINTS`` points and recentres on the
     minimum, for at most ``_TOUCH_ROUNDS`` rounds.  The first nonpositive
     sample hands its bracket over to ``bisect_root``; a nonpositive first
     sample, at ``lo`` itself, is the crossing.  Otherwise the dip counts as a
-    root only when the refined minimum is <= ``TOUCH_TOL``.  With
-    ``lipschitz``, the hunt gives up as soon as one round's samples prove
-    the curve stays above ``2 * TOUCH_TOL`` on the whole bracket (the second
-    ``TOUCH_TOL`` absorbs rounding in the samples): every later round samples
-    inside that bracket, so the full refinement would return None as well.
+    root only when the refined minimum is <= ``TOUCH_TOL``.  The hunt gives
+    up as soon as one round's samples and the slope bound ``lipschitz``
+    prove that the curve stays above ``2 * TOUCH_TOL`` on the whole bracket
+    (the second ``TOUCH_TOL`` absorbs rounding in the samples): every later
+    round samples inside that bracket, so the full refinement, which an
+    infinite ``lipschitz`` requests, would return None as well.
     """
     best_t = best_f = None
     for _ in range(_TOUCH_ROUNDS):
@@ -145,12 +145,11 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float,
             t, v = bisect_root(_scalar(f_batch), float(ts[j - 1]), float(ts[j]),
                                float(fs[j - 1]), float(fs[j]), xtol, ftol)
             return RootHit(t, v, "crossing")
-        if lipschitz is not None:
-            # Lowest value a curve of slope <= lipschitz through the samples
-            # can reach between two neighbours.
-            floor = 0.5 * np.min(fs[:-1] + fs[1:] - lipschitz * np.diff(ts))
-            if floor > 2.0 * TOUCH_TOL:
-                return None
+        # Lowest value a curve of slope <= lipschitz through the samples can
+        # reach between two neighbours (-inf for an infinite lipschitz).
+        floor = 0.5 * np.min(fs[:-1] + fs[1:] - lipschitz * np.diff(ts))
+        if floor > 2.0 * TOUCH_TOL:
+            return None
         m = int(np.argmin(fs))
         best_t, best_f = float(ts[m]), float(fs[m])
         width_floor = max(xtol, 4.0 * np.finfo(float).eps * max(abs(hi), 1.0))
@@ -171,22 +170,24 @@ def _touch_candidates(fs, window: float) -> np.ndarray:
     return np.flatnonzero((mid <= window) & (left >= mid) & (mid <= right)) + 1
 
 
-def first_root(f_batch, ts, lipschitz: float | None = None,
-               xtol: float = 1e-12, ftol: float = 1e-11, on_samples=None):
-    """Earliest root of a curve, sampled on the uniform grid ``ts``, that
-    starts strictly positive.
+def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
+               ftol: float) -> RootHit:
+    """Earliest root on [0, ``t_end``] of a curve that starts strictly
+    positive, scanned on the uniform grid of ``n`` >= 1 intervals.
 
     ``f_batch`` maps an array of abscissae to an array of values.  It is
-    called on consecutive blocks of ``ts`` (``_FIRST_BLOCK`` points, doubling
-    up to ``_MAX_BLOCK``), and evaluation stops at the first root; samples
-    after it are never computed.  When ``lipschitz`` is given, positive local
-    minima within ``lipschitz * step`` of zero are inspected as potential
-    sub-grid touches, in grid order and before a later sign change.  A
-    horizon-endpoint sample within that window that is still falling is
-    inspected as a one-sided touch.  ``on_samples``, if given, is called with
-    each block's new samples in grid order, so their concatenation is the
-    curve on the scanned prefix of ``ts`` (all of it when there is no root).
-    Returns a RootHit or None.
+    called on consecutive blocks of the grid (``_FIRST_BLOCK`` points,
+    doubling up to ``_MAX_BLOCK``), each computed as
+    ``np.arange(start, stop) * (t_end / n)`` with the last point set to
+    exactly ``t_end``: bit for bit the points of
+    ``np.linspace(0, t_end, n + 1)``, which is never built.  Evaluation
+    stops at the first root.  Positive local minima within
+    ``lipschitz * t_end / n`` of zero (none when ``lipschitz`` is 0) are
+    inspected as potential sub-grid touches, in grid order and before a
+    later sign change; so is a horizon-endpoint sample within that window
+    that is still falling, as a one-sided touch.  Returns a RootHit of kind
+    "crossing" or "touch"; with no root, of kind "none", holding the
+    smallest sample and the first grid time where it occurs.
 
     Guarantee: the result is the same, bit for bit, as that of a scan that
     samples the whole grid first and walks it point by point.  That walk
@@ -194,44 +195,41 @@ def first_root(f_batch, ts, lipschitz: float | None = None,
     each block is joined to the last two samples of the previous one, so
     every sign change and touch candidate is found at the same grid point,
     in the same order, with the same crossing refinement and touch hunts.
-    A hunt given ``lipschitz`` may stop early, but only where the full
-    refinement would return None (see ``_touch_hunt``).
+    A hunt may stop early, but only where the full refinement would return
+    None (see ``_touch_hunt``).
     """
-    ts = np.asarray(ts, dtype=float)
-    n = ts.size
-    if n < 2:
-        return None
-    step = (ts[-1] - ts[0]) / (n - 1)
-    window = lipschitz * step if lipschitz is not None else None
+    step = t_end / n
+    window = lipschitz * step
     tail = np.empty(0)  # last two samples of the previous block
     start, size = 0, _FIRST_BLOCK
-    while start < n:
-        stop = min(start + size, n)
-        new = np.asarray(f_batch(ts[start:stop]), dtype=float)
-        if on_samples is not None:
-            on_samples(new)
+    while start <= n:
+        stop = min(start + size, n + 1)
+        ts = np.arange(start - tail.size, stop, dtype=float) * step  # abscissae of tail and block
+        if stop > n:
+            ts[-1] = t_end
+        new = np.asarray(f_batch(ts[tail.size:]), dtype=float)
         if start == 0 and new[0] <= 0.0:
             raise ValueError("scan must start at a strictly positive sample")
         fs = np.concatenate((tail, new))
-        base = start - tail.size  # grid index of fs[0]
         neg = np.flatnonzero(new <= 0.0)
         cross = tail.size + int(neg[0]) if neg.size else fs.size
-        if window is not None:
-            for j in _touch_candidates(fs[:cross], window):
-                hit = _touch_hunt(f_batch, float(ts[base + j - 1]), float(ts[base + j + 1]),
-                                  xtol, ftol, lipschitz=lipschitz)
-                if hit is not None:
-                    return hit
+        for j in _touch_candidates(fs[:cross], window):
+            hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[j + 1]), xtol, ftol, lipschitz)
+            if hit is not None:
+                return hit
         if neg.size:
-            k = base + cross
-            t, v = bisect_root(_scalar(f_batch), float(ts[k - 1]), float(ts[k]),
+            t, v = bisect_root(_scalar(f_batch), float(ts[cross - 1]), float(ts[cross]),
                                float(fs[cross - 1]), float(fs[cross]), xtol, ftol)
             return RootHit(t, v, "crossing")
+        m = int(new.argmin())
+        if start == 0 or new[m] < low_f:
+            low_t, low_f = ts[tail.size + m], new[m]
         tail = fs[-2:]
         start, size = stop, min(2 * size, _MAX_BLOCK)
     # One-sided candidate at the horizon endpoint (tangency at the boundary);
     # every sample is positive here.
-    if window is not None and tail[-1] <= window and tail[-1] <= tail[-2]:
-        return _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol,
-                           lipschitz=lipschitz)
-    return None
+    if tail[-1] <= window and tail[-1] <= tail[-2]:
+        hit = _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, lipschitz)
+        if hit is not None:
+            return hit
+    return RootHit(float(low_t), float(low_f), "none")

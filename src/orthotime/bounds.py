@@ -73,8 +73,10 @@ def span_lower_bound(ha, hb) -> float:
     hb = linalg.as_square_matrix(hb, "hb")
     if ha.shape != hb.shape:
         raise DimensionMismatchError(f"shape mismatch: {ha.shape} vs {hb.shape}")
-    wa = spectral_half_span(ha)
-    wb = spectral_half_span(hb)
+    return _span_bound(spectral_half_span(ha), spectral_half_span(hb))
+
+
+def _span_bound(wa: float, wb: float) -> float:
     if wa + wb <= 0.0:
         raise ValueError("both operators are scalar; no finite bound")
     return float(np.pi / (2.0 * (wa + wb)))
@@ -175,7 +177,9 @@ def bounds_report(ha, hb, psi=None, e_bar: float | None = None) -> BoundsReport:
     e_bar the difference-generator bound."""
     span_a = spectral_half_span(ha)
     span_b = spectral_half_span(hb)
-    t_span = span_lower_bound(ha, hb)
+    if np.shape(ha) != np.shape(hb):  # herm_eig checked both are square
+        raise DimensionMismatchError(f"shape mismatch: {np.shape(ha)} vs {np.shape(hb)}")
+    t_span = _span_bound(span_a, span_b)
     delta_a = delta_b = t_aa = None
     if psi is not None:
         delta_a = energy_uncertainty(ha, psi)

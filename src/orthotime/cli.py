@@ -138,7 +138,10 @@ def fig2_rows(gamma_min: float, gamma_max: float, n_points: int,
 def _as_number(x, field: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"{field} must be a number")
-    value = float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # an integer beyond the float range
+        value = np.inf
     if not np.isfinite(value):
         raise ValueError(f"{field} must be finite")
     return value

@@ -35,10 +35,11 @@ GAP_FTOL = 1e-11
 
 
 class ScanContinuityWarning(RuntimeWarning):
-    """Adjacent scan samples jumped by more than the Lipschitz bound allows.
+    """Adjacent margin samples jumped by more than the Lipschitz bound allows.
 
-    Only the samples the scan evaluated are checked: those up to the first
-    root, or the whole horizon when there is none.
+    Each batch of two or more samples the scan evaluates (a grid block or a
+    touch-hunt subsample) is checked against L times its own spacing; the
+    pair of samples across a block boundary is not.
     """
 
 
@@ -66,11 +67,11 @@ class NoOrthogonality:
     """No antipodal eigenphase pair within the scanned horizon.
 
     ``g_infimum`` is the smallest sampled gap margin and ``t_at_infimum`` the
-    grid time where it is first reached; with no root the scan evaluates the
-    whole horizon, so both are taken over every grid point.  A value clearly
-    above zero indicates the pair genuinely cannot be discriminated on this
-    horizon (it stays positive forever for proportional fields with small
-    alignment angle), while a small value suggests the horizon was too short.
+    grid time where it is first reached: with no root the scan samples every
+    grid point and keeps the lowest block by block.  A value clearly above
+    zero indicates the pair genuinely cannot be discriminated on this horizon
+    (it stays positive forever for proportional fields with small alignment
+    angle), while a small value suggests the horizon was too short.
     """
 
     t_max: float
@@ -184,14 +185,23 @@ class _EvolutionPair:
         phases.sort(axis=1)
         return phases
 
+    def _checked(self, ts, values) -> np.ndarray:
+        """``values``, after a ``ScanContinuityWarning`` if two adjacent
+        samples of the batch differ by more than L times their spacing."""
+        if values.size > 1:
+            excess = np.abs(np.diff(values)) - (1.0 + 1e-6) * self.lipschitz * np.diff(ts)
+            if excess.max() > 1e-9:
+                warnings.warn(f"scan jump exceeds the Lipschitz bound by {excess.max():.3e}; "
+                              "samples may be corrupted", ScanContinuityWarning, stacklevel=3)
+        return values
+
     def gap_margin(self, ts) -> np.ndarray:
         """g(t) = largest empty arc - pi, batched over times."""
         phases = self.phases_grid(ts)
-        wrap = 2.0 * np.pi - (phases[:, -1] - phases[:, 0])
+        g = 2.0 * np.pi - (phases[:, -1] - phases[:, 0])
         if phases.shape[1] > 1:
-            inner = np.diff(phases, axis=1).max(axis=1)
-            return np.maximum(inner, wrap) - np.pi
-        return wrap - np.pi
+            g = np.maximum(np.diff(phases, axis=1).max(axis=1), g)
+        return self._checked(ts, g - np.pi)
 
     def trace_margin(self, ts) -> np.ndarray:
         """Signed antipodality scalar for d = 2: Re[e^{-i beta t} tr U(t)].
@@ -202,23 +212,12 @@ class _EvolutionPair:
         """
         ts = np.asarray(ts, dtype=float)
         tr = np.exp(1j * np.multiply.outer(ts, self.freqs.ravel())) @ self.mix.ravel()
-        return np.real(np.exp(-1j * self.beta * ts) * tr)
+        return self._checked(ts, np.real(np.exp(-1j * self.beta * ts) * tr))
 
     @staticmethod
     def gap_margin_from_trace(c) -> np.ndarray:
         half = np.arccos(np.clip(np.asarray(c, dtype=float) / 2.0, -1.0, 1.0))
         return np.pi - 2.0 * np.minimum(half, np.pi - half)
-
-
-def _flag_jumps(samples: np.ndarray, bound: float) -> None:
-    jumps = np.abs(np.diff(samples))
-    if jumps.size and jumps.max() > bound * (1.0 + 1e-6) + 1e-9:
-        warnings.warn(
-            f"scan jump {jumps.max():.3e} exceeds the Lipschitz bound {bound:.3e}; "
-            "samples may be corrupted",
-            ScanContinuityWarning,
-            stacklevel=3,
-        )
 
 
 def _finite_positive(value, name: str) -> float | None:
@@ -244,12 +243,14 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     quadratic and secant steps, a few single-time margin evaluations on a
     smooth crossing).  The grid is evaluated lazily in growing blocks and
     the scan stops at the first root, with the same result as scanning every
-    grid point (see ``_scan.first_root``).  Defaults: ``t_max`` is 100x the
-    spectral-span lower bound pi/(2 wa + 2 wb), ``scan_step`` is t_max/2000
-    capped so the fastest eigenphase beat stays resolved, and ``refine_tol``
-    is 1e-10 * t_max.  A given ``t_max``, ``scan_step`` or ``refine_tol``
-    must be finite and positive.  A ``ScanContinuityWarning`` is issued
-    when adjacent evaluated samples jump by more than the Lipschitz bound.
+    grid point (see ``_scan.first_root``); no grid is materialized, so
+    memory is bounded by one block whatever ``scan_step`` is.  Defaults:
+    ``t_max`` is 100x the spectral-span lower bound pi/(2 wa + 2 wb),
+    ``scan_step`` is t_max/2000 capped so the fastest eigenphase beat stays
+    resolved, and ``refine_tol`` is 1e-10 * t_max.  A given ``t_max``,
+    ``scan_step`` or ``refine_tol`` must be finite and positive, ``alpha``
+    finite.  A ``ScanContinuityWarning`` flags evaluated margin samples
+    that jump by more than the Lipschitz bound.
 
     Returns a ``DiscriminationResult`` on success.  Returns a
     ``NoOrthogonality`` report when g never reaches zero on the horizon; the
@@ -261,6 +262,8 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     t_max = _finite_positive(t_max, "t_max")
     scan_step = _finite_positive(scan_step, "scan_step")
     refine_tol = _finite_positive(refine_tol, "refine_tol")
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     span_sum = 2.0 * (pair_data.half_span_a + pair_data.half_span_b)
     if span_sum == 0.0:
         # Both operators scalar: the product is a global phase forever.
@@ -271,19 +274,14 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
         scan_step = min(t_max / 2000.0, np.pi / (2.0 * span_sum))
     if refine_tol is None:
         refine_tol = 1e-10 * t_max
-    n = int(np.ceil(t_max / scan_step))
-    ts = np.linspace(0.0, t_max, n + 1)
+    n = max(int(np.ceil(t_max / scan_step)), 1)
 
     f_batch = pair_data.trace_margin if pair_data.dim == 2 else pair_data.gap_margin
-    blocks = []
-    hit = first_root(f_batch, ts, lipschitz=pair_data.lipschitz, xtol=refine_tol,
-                     ftol=GAP_FTOL, on_samples=blocks.append)
-    samples = np.concatenate(blocks)
-    _flag_jumps(samples, pair_data.lipschitz * (ts[1] - ts[0]))
-    if hit is None:
-        g_samples = pair_data.gap_margin_from_trace(samples) if pair_data.dim == 2 else samples
-        k = int(np.argmin(g_samples))
-        return NoOrthogonality(t_max, float(g_samples[k]), float(ts[k]))
+    hit = first_root(f_batch, t_max, n, pair_data.lipschitz, refine_tol, GAP_FTOL)
+    if hit.kind == "none":
+        # All samples are positive, where the trace-to-gap map increases.
+        g = pair_data.gap_margin_from_trace(hit.value) if pair_data.dim == 2 else hit.value
+        return NoOrthogonality(t_max, float(g), hit.t)
 
     spectrum = phase_spectrum(ha, hb, hit.t)
     _, pair = max_circular_gap(spectrum.phases)

@@ -128,8 +128,8 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     with equal frequencies) is found by the scan's touch hunt.  The grid is
     evaluated lazily in growing blocks and the scan stops at the first root,
     with the same result as scanning every grid point (see
-    ``_scan.first_root``).  A non-finite gamma or frequency raises
-    ValueError.
+    ``_scan.first_root``); no grid is materialized, so memory is bounded by
+    one block.  A non-finite gamma or frequency raises ValueError.
     """
     if not np.all(np.isfinite([gamma, omega_a, omega_b])):
         raise ValueError("gamma and the frequencies must be finite")
@@ -149,20 +149,17 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     else:
         horizon = np.pi / total
     # Densify beyond SCAN_POINTS so the fast beat stays resolved on long
-    # horizons.
-    # The cap limits the grid size (sample memory is bounded by the scan's
-    # block); past it the fast beat is under-resolved.
-    n = max(SCAN_POINTS, int(np.ceil(4.0 * horizon * total / np.pi)))
-    n = min(n, 5_000_000)
-    ts = np.linspace(0.0, horizon, n + 1)
+    # horizons.  The cap bounds the criterion evaluations of a rootless scan
+    # (memory is bounded by the scan's block); past it the fast beat is
+    # under-resolved.
+    n = min(max(SCAN_POINTS, int(np.ceil(4.0 * horizon * total / np.pi))), 5_000_000)
 
     def f_batch(tt):
         return criterion(gamma, omega_a, omega_b, tt)
 
     lip = a * abs(omega_a - omega_b) + b * total
-    hit = first_root(f_batch, ts, lipschitz=max(lip, 1e-300),
-                     xtol=REFINE_REL_TOL * horizon, ftol=REFINE_FTOL)
-    return float(hit.t) if hit is not None else None
+    hit = first_root(f_batch, horizon, n, max(lip, 1e-300), REFINE_REL_TOL * horizon, REFINE_FTOL)
+    return float(hit.t) if hit.kind != "none" else None
 
 
 def mean_energy_bar(omega_a: float, omega_b: float, cos_gamma: float) -> float:

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from orthotime import bounds, linalg, qubit
 from orthotime.discriminate import DiscriminationResult, bracket, find_t_perp
-from orthotime.errors import CutProximityError, NonHermitianError
+from orthotime.errors import CutProximityError, DimensionMismatchError, NonHermitianError
 from helpers import SX, SZ, random_axis, random_hermitian, random_state
 
 
@@ -209,6 +209,20 @@ class TestBoundsReport:
             assert report.t_lb_span <= report.t_lb_aa * (1 + 1e-12)
             assert report.t_lb_aa >= 0 and report.t_lb_span >= 0
             assert_allclose(report.geodesic_length_at(report.t_lb_aa), np.pi, atol=1e-12)
+
+    def test_each_half_span_is_computed_once(self, monkeypatch):
+        calls = []
+        herm_eig = linalg.herm_eig
+        monkeypatch.setattr(linalg, "herm_eig", lambda h: calls.append(h) or herm_eig(h))
+        report = bounds.bounds_report(SZ, 2.0 * SX)
+        assert len(calls) == 2
+        assert (report.span_a, report.span_b, report.t_lb_span) == (1.0, 2.0, np.pi / 6)
+
+    def test_rejects_mismatched_or_scalar_pairs(self):
+        with pytest.raises(DimensionMismatchError, match="shape mismatch"):
+            bounds.bounds_report(SZ, np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match="both operators are scalar"):
+            bounds.bounds_report(np.eye(2, dtype=complex), 3.0 * np.eye(2, dtype=complex))
 
     def test_stateless_report_has_none_entries(self):
         report = bounds.bounds_report(SZ, SX)

@@ -135,6 +135,19 @@ class TestNonFiniteInput:
         assert code == 1 and out == ""
         assert err.startswith("error:") and field in err and "Traceback" not in err
 
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        path = write_problem(tmp_path, dict(SZ_PAIR, t_max=10**400))
+        code, out, err = run_cli(["discriminate", "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: t_max must be finite\n"
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_alpha_flag(self, tmp_path, capsys, alpha):
+        path = write_problem(tmp_path, SZ_PAIR)
+        code, out, err = run_cli(["discriminate", "--input", path, f"--alpha={alpha}"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: alpha must be finite\n"
+
     def test_qubit_frequency(self, tmp_path, capsys):
         path = write_problem(tmp_path, {
             "qubit": {"omega_a": 3.0, "omega_b": float("nan"), "gamma": 1.0},

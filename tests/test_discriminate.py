@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -244,6 +245,67 @@ class TestFindTPerp:
             find_t_perp(SZ, SX)
             rng = np.random.default_rng(37)
             find_t_perp(random_hermitian(rng, 5), random_hermitian(rng, 5))
+
+    def test_scan_memory_does_not_grow_with_the_grid(self):
+        # 7.85 million grid intervals, the root at pi/2 in the third block of
+        # 65536 points; a materialized grid alone would take 63 MB.  One d = 2
+        # block evaluates a 65536 x 4 complex exponential (4.2 MB) and its
+        # complex argument.
+        tracemalloc.start()
+        try:
+            out = find_t_perp(SZ, SX, scan_step=1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(out, DiscriminationResult)
+        assert_allclose(out.t_perp, np.pi / 2, rtol=1e-8)  # refine_tol is 7.9e-9
+        assert peak < 12e6
+
+    def test_step_beyond_horizon_scans_one_interval(self):
+        # t_max / scan_step underflows to 0; the grid still has one interval.
+        out = find_t_perp(SZ, SX, t_max=1e-300, scan_step=1e100)
+        assert isinstance(out, NoOrthogonality) and out.t_max == 1e-300
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_root_reports_the_lowest_grid_sample(self, dim):
+        # Equal frequencies with axes 0.5 rad apart: the product is a rotation
+        # by at most 1 rad, so g >= pi - 1 > 0, reached first at t = pi/2.
+        ha = np.zeros((dim, dim), dtype=complex)
+        hb = np.zeros((dim, dim), dtype=complex)
+        ha[:2, :2] = SZ
+        hb[:2, :2] = np.cos(0.5) * SZ + np.sin(0.5) * SX
+        t_max, step = 10.0, 0.01
+        out = find_t_perp(ha, hb, t_max=t_max, scan_step=step)
+        assert isinstance(out, NoOrthogonality)
+        pair = discriminate._EvolutionPair(ha, hb)
+        ts = np.linspace(0.0, t_max, int(np.ceil(t_max / step)) + 1)
+        g = (pair.gap_margin_from_trace(pair.trace_margin(ts)) if dim == 2
+             else pair.gap_margin(ts))
+        k = int(np.argmin(g))
+        assert (out.g_infimum, out.t_at_infimum) == (g[k], ts[k])
+        assert_allclose(out.g_infimum, np.pi - 1.0, atol=1e-4)
+        assert_allclose(out.t_at_infimum, np.pi / 2, atol=step)
+
+    @pytest.mark.parametrize("ha, hb", [(2.0 * np.eye(3, dtype=complex),
+                                         -np.eye(3, dtype=complex)), (SZ, SX)])
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_raises(self, ha, hb, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            find_t_perp(ha, hb, alpha=alpha)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_margin_batches_that_break_the_lipschitz_bound_warn(self, dim):
+        rng = np.random.default_rng(41)
+        pair = discriminate._EvolutionPair(random_hermitian(rng, dim), random_hermitian(rng, dim))
+        # Spectra 100x faster than the half-spans behind L, as a corrupted
+        # evaluator would give.
+        pair.lam, pair.freqs = 100.0 * pair.lam, 100.0 * pair.freqs
+        margin = pair.trace_margin if dim == 2 else pair.gap_margin
+        with pytest.warns(ScanContinuityWarning):
+            margin(np.linspace(0.0, 1.0, 33))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ScanContinuityWarning)
+            margin(np.array([0.5]))  # a single sample has no neighbour to check
 
     def test_both_scalar_is_never_orthogonal(self):
         out = find_t_perp(2.0 * np.eye(3, dtype=complex), -np.eye(3, dtype=complex))

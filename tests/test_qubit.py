@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,18 @@ class TestQubitTPerp:
     def test_equal_frequencies_small_angle_has_no_root(self):
         assert qubit.qubit_t_perp(np.pi / 4, 1.0, 1.0) is None
         assert qubit.qubit_t_perp(0.0, 2.0, 2.0) is None
+
+    def test_scan_memory_does_not_grow_with_the_grid(self):
+        # 5,000,000 grid intervals, the late root near 31 % of the horizon;
+        # a materialized grid alone would take 40 MB.
+        tracemalloc.start()
+        try:
+            t = qubit.qubit_t_perp(0.3, 1.0, 1.0 + 1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t == 15712059.895596543
+        assert peak < 5e6
 
     def test_boundary_angle_root_at_horizon(self):
         t = qubit.qubit_t_perp(np.pi / 2, 1.0, 1.0)

@@ -15,34 +15,37 @@ STEP = 1.0 / (N - 1)
 LIP = 10.0
 WINDOW = LIP * STEP
 EDGES = (63, 64, 65, 191, 192)
+XTOL, FTOL = 1e-12, 1e-11
 
 
-def full_grid_first_root(f_batch, ts, lipschitz=None, xtol=1e-12, ftol=1e-11):
-    """Reference: sample the whole grid, then walk it point by point."""
+def full_grid_first_root(f_batch, ts, lipschitz, xtol=XTOL, ftol=FTOL):
+    """Reference: sample the whole grid, then walk it point by point.  Touch
+    hunts get an infinite Lipschitz bound, so they run every round."""
     ts = np.asarray(ts, dtype=float)
     n = ts.size
-    if n < 2:
-        return None
     fs = np.asarray(f_batch(ts), dtype=float)
     if fs[0] <= 0.0:
         raise ValueError("scan must start at a strictly positive sample")
     step = (ts[-1] - ts[0]) / (n - 1)
-    window = lipschitz * step if lipschitz is not None else None
+    window = lipschitz * step
     for k in range(1, n):
-        if window is not None and k >= 2:
+        if k >= 2:
             j = k - 1
             if (0.0 < fs[j] <= window and fs[j - 1] >= fs[j] <= fs[k]
                     and fs[j - 1] > 0.0 and fs[k] > 0.0):
-                hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[k]), xtol, ftol)
+                hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[k]), xtol, ftol, np.inf)
                 if hit is not None:
                     return hit
         if fs[k] <= 0.0:
             t, v = bisect_root(_scalar(f_batch), float(ts[k - 1]), float(ts[k]),
                                float(fs[k - 1]), float(fs[k]), xtol, ftol)
             return RootHit(t, v, "crossing")
-    if window is not None and 0.0 < fs[-1] <= window and fs[-1] <= fs[-2]:
-        return _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol)
-    return None
+    if 0.0 < fs[-1] <= window and fs[-1] <= fs[-2]:
+        hit = _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, np.inf)
+        if hit is not None:
+            return hit
+    k = int(np.argmin(fs))
+    return RootHit(float(ts[k]), float(fs[k]), "none")
 
 
 def grid(n=N):
@@ -132,27 +135,26 @@ CURVES = (
 @pytest.mark.parametrize("lipschitz", [LIP, None])
 @pytest.mark.parametrize("f", CURVES)
 def test_matches_full_grid_scan(f, lipschitz):
-    ts = grid()
-    ref = full_grid_first_root(f, ts, lipschitz=lipschitz)
-    assert first_root(f, ts, lipschitz=lipschitz) == ref
+    lipschitz = 0.0 if lipschitz is None else lipschitz  # None: no touch hunting
+    ref = full_grid_first_root(f, grid(), lipschitz)
+    assert first_root(f, 1.0, N - 1, lipschitz, XTOL, FTOL) == ref
 
 
 @pytest.mark.parametrize("f, kind", [(crossing_at(i), "crossing") for i in EDGES]
                          + [(dip_at(i, 1e-10), "touch") for i in EDGES]
                          + [(dip_at(i, -1e-5, shift=0.5), "crossing") for i in EDGES])
 def test_block_edge_roots_are_found(f, kind):
-    hit = first_root(f, grid(), lipschitz=LIP)
-    assert hit is not None and hit.kind == kind
+    hit = first_root(f, 1.0, N - 1, LIP, XTOL, FTOL)
+    assert hit.kind == kind
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 20, 63])
+@pytest.mark.parametrize("n", [2, 3, 20, 63])
 @pytest.mark.parametrize("has_root", [True, False])
 def test_grid_shorter_than_first_block(n, has_root):
-    ts = grid(n)
-    f = crossing_at(n - 1, n) if has_root and n > 1 else (lambda t: 1.0 + np.asarray(t))
-    ref = full_grid_first_root(f, ts, lipschitz=LIP)
-    assert first_root(f, ts, lipschitz=LIP) == ref
-    assert (ref is not None) == (has_root and n > 1)
+    f = crossing_at(n - 1, n) if has_root else (lambda t: 1.0 + np.asarray(t))
+    ref = full_grid_first_root(f, grid(n), LIP)
+    assert first_root(f, 1.0, n - 1, LIP, XTOL, FTOL) == ref
+    assert (ref.kind != "none") == has_root
 
 
 def test_block_cap_is_respected():
@@ -166,8 +168,24 @@ def test_block_cap_is_respected():
             sizes.append(np.size(t))
             return f(t)
 
-        assert first_root(counted, ts, lipschitz=LIP) == full_grid_first_root(f, ts, lipschitz=LIP)
+        assert first_root(counted, 1.0, n - 1, LIP, XTOL, FTOL) == full_grid_first_root(f, ts, LIP)
         assert max(sizes) == _scan._MAX_BLOCK
+
+
+# (t_end / n) * n is not t_end for (0.1, 200000), (7.965, 63) and (7.299, 65).
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200_000])
+@pytest.mark.parametrize("t_end", [1.0, 0.1, 7.965, 7.299, np.pi * 1e7])
+def test_abscissae_are_the_linspace_grid(n, t_end):
+    blocks = []
+
+    def rising(t):
+        blocks.append(t.copy())
+        return 1.0 + t
+
+    hit = first_root(rising, t_end, n, LIP, XTOL, FTOL)
+    assert hit == RootHit(0.0, 1.0, "none")
+    # Bit for bit, so also at every block edge and at the last point.
+    assert np.concatenate(blocks).tobytes() == np.linspace(0.0, t_end, n + 1).tobytes()
 
 
 @pytest.mark.parametrize("floor", [-1e-5, 1e-10, 5e-10, 1e-9, 1.5e-9, 3e-9, 1e-6, 1e-3])
@@ -175,14 +193,14 @@ def test_block_cap_is_respected():
 def test_touch_hunt_early_exit_matches_full_refinement(floor, shift):
     f = dip_at(200, floor, shift=shift)
     lo, hi = grid()[199], grid()[201]
-    full = _touch_hunt(f, lo, hi, 1e-12, 1e-11)
+    full = _touch_hunt(f, lo, hi, 1e-12, 1e-11, np.inf)
     assert _touch_hunt(f, lo, hi, 1e-12, 1e-11, lipschitz=LIP) == full
 
 
 def test_touch_hunt_gives_up_once_the_dip_clears_the_tolerance():
     f = dip_at(200, 1e-3, shift=0.3)
     rounds = {}
-    for lipschitz in (LIP, None):
+    for lipschitz in (LIP, np.inf):
         sizes = []
 
         def counted(t):
@@ -192,33 +210,34 @@ def test_touch_hunt_gives_up_once_the_dip_clears_the_tolerance():
         assert _touch_hunt(counted, grid()[199], grid()[201], 1e-12, 1e-11,
                            lipschitz=lipschitz) is None
         rounds[lipschitz] = len(sizes)
-    assert rounds[LIP] == 1 < rounds[None]
+    assert rounds[LIP] == 1 < rounds[np.inf]
 
 
 @pytest.mark.parametrize("f", [lambda t: np.asarray(t) - 0.5, lambda t: 0.0 * np.asarray(t)])
 def test_nonpositive_first_sample_raises(f):
     with pytest.raises(ValueError):
-        full_grid_first_root(f, grid())
+        full_grid_first_root(f, grid(), 0.0)
     with pytest.raises(ValueError):
-        first_root(f, grid())
+        first_root(f, 1.0, N - 1, 0.0, XTOL, FTOL)
 
 
 class _Counter:
-    """Counts the scan-grid points an evaluator sees.  Grid blocks are slices
-    of the grid; refinement (bisection, touch hunts) passes fresh arrays."""
+    """Counts the scan-grid points an evaluator sees.  A grid block holds
+    only grid points; refinement (bisection, touch hunts) evaluates points
+    between them."""
 
     def __init__(self):
         self.grid = None
         self.grid_points = 0
 
     def capture_grid(self, scan):
-        def wrapped(f_batch, ts, *args, **kwargs):
-            self.grid = ts
-            return scan(f_batch, ts, *args, **kwargs)
+        def wrapped(f_batch, t_end, n, *args):
+            self.grid = np.linspace(0.0, t_end, n + 1)
+            return scan(f_batch, t_end, n, *args)
         return wrapped
 
     def count(self, t):
-        if self.grid is not None and np.shares_memory(t, self.grid):
+        if self.grid is not None and np.isin(t, self.grid).all():
             self.grid_points += np.size(t)
 
     def assert_stopped_early(self, t_root):
