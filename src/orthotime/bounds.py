@@ -49,8 +49,10 @@ def energy_uncertainty(h, psi) -> float:
 def aa_lower_bound(ha, hb, psi) -> float:
     """pi / (2 (dE_a + dE_b)): no state reaches an orthogonal partner sooner
     than the projective path length allows."""
-    da = energy_uncertainty(ha, psi)
-    db = energy_uncertainty(hb, psi)
+    return _aa_bound(ha, hb, energy_uncertainty(ha, psi), energy_uncertainty(hb, psi))
+
+
+def _aa_bound(ha, hb, da: float, db: float) -> float:
     total = da + db
     scale = linalg.frobenius(ha) + linalg.frobenius(hb)
     if total <= 1e-12 * max(scale, 1e-300):
@@ -184,6 +186,6 @@ def bounds_report(ha, hb, psi=None, e_bar: float | None = None) -> BoundsReport:
     if psi is not None:
         delta_a = energy_uncertainty(ha, psi)
         delta_b = energy_uncertainty(hb, psi)
-        t_aa = aa_lower_bound(ha, hb, psi)
+        t_aa = _aa_bound(ha, hb, delta_a, delta_b)
     t_marg = margolus_bound(e_bar) if e_bar is not None else None
     return BoundsReport(delta_a, delta_b, span_a, span_b, t_aa, t_span, t_marg)

@@ -10,7 +10,9 @@ acquires two antipodal eigenphases: the attainable bracket values
 <psi|U(t)|psi> form the convex hull of the eigenphase points on the unit
 circle, and 0 first enters that hull through an edge, i.e. when the largest
 empty arc between eigenphases shrinks to pi.  The optimal initial state is an
-equal-weight superposition of the two eigenvectors bounding that arc.
+equal-weight superposition of the two eigenvectors bounding that arc.  U(t)
+is formed in one place, ``_EvolutionPair``, in hb's eigenframe: the scan,
+the optimal state and the public helpers all take it from there.
 
 ``find_t_perp`` scans the gap margin g(t) = (largest empty arc) - pi, which
 starts at pi, and refines the first instant it reaches zero.  For d >= 3 the
@@ -82,17 +84,12 @@ class NoOrthogonality:
 def product_unitary(ha, hb, t: float) -> np.ndarray:
     """exp(i hb t) exp(-i ha t), the unitary whose eigenphases govern
     discriminability at time t."""
-    ha = linalg.as_square_matrix(ha, "ha")
-    hb = linalg.as_square_matrix(hb, "hb")
-    if ha.shape != hb.shape:
-        raise DimensionMismatchError(f"shape mismatch: {ha.shape} vs {hb.shape}")
-    return linalg.expm_i(-hb, t) @ linalg.expm_i(ha, t)
+    return _EvolutionPair(ha, hb).unitary(t)
 
 
 def phase_spectrum(ha, hb, t: float) -> PhaseSpectrum:
     """Sorted eigenphases and eigenframe of the product unitary at time t."""
-    phases, frame = linalg.unitary_eig(product_unitary(ha, hb, t))
-    return PhaseSpectrum(float(t), phases, frame)
+    return _EvolutionPair(ha, hb).spectrum(t)
 
 
 def max_circular_gap(phases) -> tuple[float, tuple[int, int]]:
@@ -141,14 +138,16 @@ def orthogonal_state(frame, pair: tuple[int, int], alpha: float = 0.0) -> np.nda
 
 def bracket(psi, ha, hb, t: float) -> complex:
     """Exact inner product <psi| exp(i hb t) exp(-i ha t) |psi>."""
-    ha = linalg.as_square_matrix(ha, "ha")
-    psi = linalg.as_unit_state(psi, ha.shape[0])
-    return complex(psi.conj() @ product_unitary(ha, hb, t) @ psi)
+    pair = _EvolutionPair(ha, hb)
+    psi = linalg.as_unit_state(psi, pair.dim)
+    return complex(psi.conj() @ pair.unitary(t) @ psi)
 
 
 class _EvolutionPair:
-    """Cached spectral data for fast evaluation of the product unitary on
-    grids of times."""
+    """U(t) for one validated pair, formed in hb's eigenframe: with
+    ha = Va diag(lam) Va*, hb = Vb diag(mu) Vb* and M = Vb* Va,
+    Vb* U(t) Vb = e^{i mu t} M e^{-i lam t} M*, which is similar to U(t).
+    The scan, the optimal state and the public helpers all use it."""
 
     def __init__(self, ha, hb):
         ha = linalg.as_square_matrix(ha, "ha")
@@ -156,28 +155,32 @@ class _EvolutionPair:
         if ha.shape != hb.shape:
             raise DimensionMismatchError(f"shape mismatch: {ha.shape} vs {hb.shape}")
         self.dim = ha.shape[0]
-        self.lam, self.va = linalg.herm_eig(ha)
+        self.lam, va = linalg.herm_eig(ha)
         self.mu, self.vb = linalg.herm_eig(hb)
-        self.half_span_a = float(self.lam[-1] - self.lam[0]) / 2.0
-        self.half_span_b = float(self.mu[-1] - self.mu[0]) / 2.0
+        self.overlap = self.vb.conj().T @ va
+        # Phase motion of U(t) is generated by hb - e^{i hb t} ha e^{-i hb t};
+        # scalar parts cancel in gaps, so half-spans wa, wb give L = 2 (wa + wb).
+        self.lipschitz = float(self.lam[-1] - self.lam[0] + self.mu[-1] - self.mu[0])
         # tr U(t) = sum_jk |<b_j|a_k>|^2 e^{i (mu_j - lam_k) t}
-        self.mix = np.abs(self.vb.conj().T @ self.va) ** 2
+        self.mix = np.abs(self.overlap) ** 2
         self.freqs = self.mu[:, None] - self.lam[None, :]
         self.beta = float(self.mu.sum() - self.lam.sum()) / self.dim
 
-    # Phase motion of U(t) is generated by hb - e^{i hb t} ha e^{-i hb t};
-    # scalar parts cancel in gaps, so half-spans bound each phase velocity.
-    @property
-    def lipschitz(self) -> float:
-        return 2.0 * (self.half_span_a + self.half_span_b)
-
     def product_grid(self, ts) -> np.ndarray:
+        """Vb* U(t) Vb, batched over times, with one batched matmul."""
         ts = np.asarray(ts, dtype=float)
         ea = np.exp(-1j * np.multiply.outer(ts, self.lam))
         eb = np.exp(1j * np.multiply.outer(ts, self.mu))
-        ua = (self.va[None, :, :] * ea[:, None, :]) @ self.va.conj().T
-        ub = (self.vb[None, :, :] * eb[:, None, :]) @ self.vb.conj().T
-        return ub @ ua
+        return (eb[:, :, None] * self.overlap * ea[:, None, :]) @ self.overlap.conj().T
+
+    def unitary(self, t: float) -> np.ndarray:
+        """U(t) = exp(i hb t) exp(-i ha t)."""
+        return self.vb @ self.product_grid(np.array([float(t)]))[0] @ self.vb.conj().T
+
+    def spectrum(self, t: float) -> PhaseSpectrum:
+        """Eigenphases of U(t) and its frame Vb Z, with Vb* U(t) Vb = Z e^{i phases} Z*."""
+        phases, z = linalg.unitary_eig(self.product_grid(np.array([float(t)]))[0])
+        return PhaseSpectrum(float(t), phases, self.vb @ z)
 
     def phases_grid(self, ts) -> np.ndarray:
         phases = np.angle(np.linalg.eigvals(self.product_grid(ts)))
@@ -211,7 +214,8 @@ class _EvolutionPair:
         eigenphases are antipodal.
         """
         ts = np.asarray(ts, dtype=float)
-        tr = np.exp(1j * np.multiply.outer(ts, self.freqs.ravel())) @ self.mix.ravel()
+        arg = np.multiply.outer(ts, 1j * self.freqs.ravel())
+        tr = np.exp(arg, out=arg) @ self.mix.ravel()
         return self._checked(ts, np.real(np.exp(-1j * self.beta * ts) * tr))
 
     @staticmethod
@@ -264,7 +268,7 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     refine_tol = _finite_positive(refine_tol, "refine_tol")
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    span_sum = 2.0 * (pair_data.half_span_a + pair_data.half_span_b)
+    span_sum = pair_data.lipschitz
     if span_sum == 0.0:
         # Both operators scalar: the product is a global phase forever.
         return NoOrthogonality(t_max if t_max is not None else 0.0, np.pi, 0.0)
@@ -274,6 +278,8 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
         scan_step = min(t_max / 2000.0, np.pi / (2.0 * span_sum))
     if refine_tol is None:
         refine_tol = 1e-10 * t_max
+    if not np.isfinite(t_max / scan_step):
+        raise ValueError(f"t_max / scan_step ({t_max!r} / {scan_step!r}) is not finite")
     n = max(int(np.ceil(t_max / scan_step)), 1)
 
     f_batch = pair_data.trace_margin if pair_data.dim == 2 else pair_data.gap_margin
@@ -283,8 +289,10 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
         g = pair_data.gap_margin_from_trace(hit.value) if pair_data.dim == 2 else hit.value
         return NoOrthogonality(t_max, float(g), hit.t)
 
-    spectrum = phase_spectrum(ha, hb, hit.t)
-    _, pair = max_circular_gap(spectrum.phases)
-    state = orthogonal_state(spectrum.frame, pair, alpha)
-    residual = abs(bracket(state, ha, hb, hit.t))
+    u = pair_data.product_grid(np.array([hit.t]))[0]  # Vb* U(t_perp) Vb, formed once
+    phases, z = linalg.unitary_eig(u)
+    _, pair = max_circular_gap(phases)
+    phi = orthogonal_state(z, pair, alpha)  # the state in hb's eigenbasis
+    residual = abs(phi.conj() @ u @ phi)
+    state = pair_data.vb @ phi
     return DiscriminationResult(float(hit.t), pair, float(alpha), state, float(residual))

@@ -71,8 +71,9 @@ def assert_hermitian(h, name: str = "matrix") -> np.ndarray:
     """Return ``h`` as a complex array, or raise unless
     ||h - h*||_F <= ``HERMITICITY_TOL`` ||h||_F (so NaN or Inf entries raise)."""
     h = as_square_matrix(h, name)
-    if not np.linalg.norm(h - h.conj().T) <= HERMITICITY_TOL * np.linalg.norm(h):
-        raise NonHermitianError(f"{name} fails the Hermiticity tolerance {HERMITICITY_TOL}")
+    with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails here
+        if not np.linalg.norm(h - h.conj().T) <= HERMITICITY_TOL * np.linalg.norm(h):
+            raise NonHermitianError(f"{name} fails the Hermiticity tolerance {HERMITICITY_TOL}")
     return h
 
 
@@ -80,7 +81,8 @@ def assert_unitary(u, name: str = "matrix") -> np.ndarray:
     """Return ``u`` as a complex array, or raise unless
     ||u* u - 1||_F <= ``UNITARITY_TOL`` (so NaN or Inf entries raise)."""
     u = as_square_matrix(u, name)
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
+    with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails here
+        defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
     if not defect <= UNITARITY_TOL:
         raise NonUnitaryError(
             f"{name} fails the unitarity tolerance {UNITARITY_TOL} (defect {defect:.3e})"
@@ -179,11 +181,8 @@ def principal_log_norm(u) -> float:
 
 
 def _check_cut(phases: np.ndarray) -> None:
-    """Raise ``CutProximityError`` for a phase within ``CUT_GUARD`` of -1.
-
-    A phase equal to +pi exactly sits on the included end of the half-open
-    interval and is allowed.
-    """
+    """Raise ``CutProximityError`` for a phase within ``CUT_GUARD`` of -1,
+    other than +pi exactly (see ``principal_log_u``)."""
     distance = np.pi - np.abs(phases)
     near_cut = (distance < CUT_GUARD) & (phases != np.pi)
     if np.any(near_cut):

@@ -218,6 +218,17 @@ class TestBoundsReport:
         assert len(calls) == 2
         assert (report.span_a, report.span_b, report.t_lb_span) == (1.0, 2.0, np.pi / 6)
 
+    def test_each_energy_uncertainty_is_computed_once(self, monkeypatch):
+        calls = []
+        uncertainty = bounds.energy_uncertainty
+        monkeypatch.setattr(bounds, "energy_uncertainty",
+                            lambda h, psi: calls.append(h) or uncertainty(h, psi))
+        psi = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+        report = bounds.bounds_report(SZ, 2.0 * SX, psi)
+        assert len(calls) == 2
+        assert report.t_lb_aa == bounds.aa_lower_bound(SZ, 2.0 * SX, psi)
+        assert_allclose((report.delta_E_a, report.delta_E_b), (1.0, 2.0), rtol=1e-15)
+
     def test_rejects_mismatched_or_scalar_pairs(self):
         with pytest.raises(DimensionMismatchError, match="shape mismatch"):
             bounds.bounds_report(SZ, np.eye(3, dtype=complex))

@@ -168,6 +168,14 @@ class TestNonFiniteInput:
         assert code == 1 and out == ""
         assert err.startswith("error:") and field in err and "Traceback" not in err
 
+    def test_grid_size_beyond_float_range(self, tmp_path, capsys):
+        path = write_problem(tmp_path, SZ_PAIR)
+        code, out, err = run_cli(["discriminate", "--input", path, "--t-max", "1e300",
+                                  "--scan-step", "1e-300"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "t_max / scan_step" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv, field", [
         (["fig1", "--omega-sum", "inf"], "omega_sum"),
         (["fig2", "--omega-ratio", "inf"], "omega_ratio"),

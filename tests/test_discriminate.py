@@ -21,7 +21,7 @@ from orthotime.discriminate import (
     product_unitary,
 )
 from orthotime.errors import DimensionMismatchError
-from helpers import SX, SZ, qubit_horizon, random_axis, random_hermitian
+from helpers import SX, SZ, qubit_horizon, random_axis, random_hermitian, random_state
 
 
 class TestProductUnitary:
@@ -249,8 +249,8 @@ class TestFindTPerp:
     def test_scan_memory_does_not_grow_with_the_grid(self):
         # 7.85 million grid intervals, the root at pi/2 in the third block of
         # 65536 points; a materialized grid alone would take 63 MB.  One d = 2
-        # block evaluates a 65536 x 4 complex exponential (4.2 MB) and its
-        # complex argument.
+        # block evaluates a 65536 x 4 complex exponential (4.2 MB) in place
+        # of its argument.
         tracemalloc.start()
         try:
             out = find_t_perp(SZ, SX, scan_step=1e-5)
@@ -259,7 +259,11 @@ class TestFindTPerp:
             tracemalloc.stop()
         assert isinstance(out, DiscriminationResult)
         assert_allclose(out.t_perp, np.pi / 2, rtol=1e-8)  # refine_tol is 7.9e-9
-        assert peak < 12e6
+        assert peak < 10e6
+
+    def test_grid_size_beyond_float_range_is_named(self):
+        with pytest.raises(ValueError, match=r"t_max / scan_step .* is not finite"):
+            find_t_perp(SZ, SX, t_max=1e300, scan_step=1e-300)
 
     def test_step_beyond_horizon_scans_one_interval(self):
         # t_max / scan_step underflows to 0; the grid still has one interval.
@@ -338,3 +342,86 @@ class TestFindTPerp:
     def test_one_dimensional_never_orthogonal(self):
         out = find_t_perp(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]), t_max=4.0)
         assert isinstance(out, NoOrthogonality)
+
+
+def _haar(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _kernel_pairs():
+    """Seeded pairs at d = 1..8, and an hb with a threefold eigenvalue."""
+    rng = np.random.default_rng(43)
+    pairs = [(random_hermitian(rng, d, radius=2.0), random_hermitian(rng, d, radius=2.0))
+             for d in range(1, 9)]
+    q = _haar(rng, 5)
+    hb = (q * np.array([0.7, 0.7, 0.7, -1.1, 1.9])) @ q.conj().T
+    pairs.append((random_hermitian(rng, 5, radius=2.0), hb))
+    return pairs
+
+
+class TestKernelReference:
+    """The product unitary, its spectrum and the bracket against an
+    independent Pade exponential of each factor."""
+
+    @pytest.mark.parametrize("ha, hb", _kernel_pairs())
+    @pytest.mark.parametrize("t", [0.37, 2.9])
+    def test_matches_scipy_expm(self, ha, hb, t):
+        ref = scipy.linalg.expm(1j * hb * t) @ scipy.linalg.expm(-1j * ha * t)
+        assert_allclose(product_unitary(ha, hb, t), ref, atol=1e-12)
+        spectrum = phase_spectrum(ha, hb, t)
+        frame, dim = spectrum.frame, ha.shape[0]
+        assert_allclose(frame.conj().T @ frame, np.eye(dim), atol=1e-12)
+        assert_allclose((frame * np.exp(1j * spectrum.phases)) @ frame.conj().T, ref,
+                        atol=1e-12)
+        psi = random_state(np.random.default_rng(dim), dim)
+        assert abs(bracket(psi, ha, hb, t) - psi.conj() @ ref @ psi) <= 1e-12
+
+
+def _metamorphic_pair(dim):
+    rng = np.random.default_rng(47 + dim)
+    return random_hermitian(rng, dim, radius=1.5), random_hermitian(rng, dim, radius=1.5)
+
+
+class TestMetamorphicRelations:
+    """Relations t_perp must satisfy without knowing its value."""
+
+    @pytest.mark.parametrize("nu", [[0.4, -1.3], [0.9, 0.9, -0.6], [0.2, -0.7, 1.1],
+                                    [1.0, -1.0, 0.5, 0.5, 0.5, -0.2, 0.3, -1.0]])
+    def test_commuting_diagonal_pair(self, nu):
+        nu = np.array(nu)
+        ha = np.diag(np.linspace(-0.5, 0.8, nu.size)).astype(complex)
+        hb = ha + np.diag(nu)
+        out = find_t_perp(ha, hb)
+        assert isinstance(out, DiscriminationResult)
+        assert_allclose(out.t_perp, np.pi / (nu.max() - nu.min()), rtol=1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_invariances_and_scaling(self, dim):
+        ha, hb = _metamorphic_pair(dim)
+        base = find_t_perp(ha, hb)
+        assert isinstance(base, DiscriminationResult)
+        q = _haar(np.random.default_rng(53), dim)
+        shift = np.eye(dim)
+        variants = {
+            "conjugated": (q @ ha @ q.conj().T, q @ hb @ q.conj().T, 1.0),
+            "swapped": (hb, ha, 1.0),
+            "offset": (ha + 2.3 * shift, hb - 0.9 * shift, 1.0),
+        }
+        for c in (1e-6, 1e-3, 1e3, 1e6):
+            variants[f"scaled {c:g}"] = (c * ha, c * hb, c)
+        for name, (ha2, hb2, c) in variants.items():
+            out = find_t_perp(ha2, hb2)
+            assert isinstance(out, DiscriminationResult), name
+            assert_allclose(out.t_perp * c, base.t_perp, rtol=1e-9, err_msg=name)
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_find_t_perp_diagonalizes_each_hamiltonian_once(monkeypatch, dim):
+    calls = []
+    herm_eig = linalg.herm_eig
+    monkeypatch.setattr(linalg, "herm_eig", lambda h: calls.append(h) or herm_eig(h))
+    out = find_t_perp(*_metamorphic_pair(dim))
+    assert isinstance(out, DiscriminationResult)
+    assert len(calls) == 2
