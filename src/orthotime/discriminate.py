@@ -17,9 +17,9 @@ the optimal state and the public helpers all take it from there.
 ``find_t_perp`` scans the gap margin g(t) = (largest empty arc) - pi, which
 starts at pi, and refines the first instant it reaches zero.  For d >= 3 the
 first touch is generically a sign change of g; for d = 2 the hull is a chord
-and g >= 0 touches zero without crossing, so the engine instead tracks the
-signed scalar Re[e^{-i beta t} tr U(t)] (beta removes the scalar-trace phase
-drift), which vanishes transversally exactly at the antipodal instants.
+and g >= 0 touches zero without crossing, so the engine instead tracks twice
+the paper's spin-1/2 criterion (``_EvolutionPair.trace_margin``), which
+vanishes transversally exactly at the antipodal instants.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, qubit
 from ._scan import first_root
 from .errors import DimensionMismatchError
 
@@ -100,20 +100,24 @@ def max_circular_gap(phases) -> tuple[float, tuple[int, int]]:
     coincident set, has gap 2*pi.  Zero lies in the convex hull of the points
     e^{i phase} exactly when the gap is <= pi.
     """
-    ph = np.asarray(phases, dtype=float)
+    ph = np.asarray(phases, dtype=float).reshape(1, -1)
     d = ph.size
     if d == 0:
         raise ValueError("need at least one phase")
-    if d == 1:
-        return 2.0 * np.pi, (0, 0)
     if np.any(np.diff(ph) < 0):
         raise ValueError("phases must be sorted ascending")
-    gaps = np.empty(d)
-    gaps[: d - 1] = np.diff(ph)
-    gaps[d - 1] = 2.0 * np.pi - (ph[-1] - ph[0])
-    k = int(np.argmax(gaps))
-    pair = (k, k + 1) if k < d - 1 else (d - 1, 0)
-    return float(gaps[k]), pair
+    (gap,), (k,) = _largest_arc(ph)
+    return float(gap), (int(k), int(k + 1) % d)
+
+
+def _largest_arc(phases) -> tuple[np.ndarray, np.ndarray]:
+    """Largest empty arc of each row of ascending phases, and the index k of
+    the phase it starts from; the arc from the last phase wraps round to the
+    first, and ties go to the lowest k."""
+    arcs = np.empty_like(phases)
+    np.subtract(phases[:, 1:], phases[:, :-1], out=arcs[:, :-1])
+    np.subtract(2.0 * np.pi, phases[:, -1] - phases[:, 0], out=arcs[:, -1])
+    return arcs.max(axis=1), arcs.argmax(axis=1)
 
 
 def orthogonal_state(frame, pair: tuple[int, int], alpha: float = 0.0) -> np.ndarray:
@@ -161,10 +165,11 @@ class _EvolutionPair:
         # Phase motion of U(t) is generated by hb - e^{i hb t} ha e^{-i hb t};
         # scalar parts cancel in gaps, so half-spans wa, wb give L = 2 (wa + wb).
         self.lipschitz = float(self.lam[-1] - self.lam[0] + self.mu[-1] - self.mu[0])
-        # tr U(t) = sum_jk |<b_j|a_k>|^2 e^{i (mu_j - lam_k) t}
-        self.mix = np.abs(self.overlap) ** 2
-        self.freqs = self.mu[:, None] - self.lam[None, :]
-        self.beta = float(self.mu.sum() - self.lam.sum()) / self.dim
+        if self.dim == 2:  # aligned, crossed weights |<b_j|a_k>|^2; beats wb - wa, wa + wb
+            w = np.abs(self.overlap) ** 2
+            self.weights = (w[0, 0] + w[1, 1], w[0, 1] + w[1, 0])
+            wa, wb = 0.5 * (self.lam[1] - self.lam[0]), 0.5 * (self.mu[1] - self.mu[0])
+            self.beats = (wb - wa, wa + wb)
 
     def product_grid(self, ts) -> np.ndarray:
         """Vb* U(t) Vb, batched over times, with one batched matmul."""
@@ -183,8 +188,7 @@ class _EvolutionPair:
         return PhaseSpectrum(float(t), phases, self.vb @ z)
 
     def phases_grid(self, ts) -> np.ndarray:
-        phases = np.angle(np.linalg.eigvals(self.product_grid(ts)))
-        phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+        phases = linalg._principal_phases(np.linalg.eigvals(self.product_grid(ts)))
         phases.sort(axis=1)
         return phases
 
@@ -200,23 +204,14 @@ class _EvolutionPair:
 
     def gap_margin(self, ts) -> np.ndarray:
         """g(t) = largest empty arc - pi, batched over times."""
-        phases = self.phases_grid(ts)
-        g = 2.0 * np.pi - (phases[:, -1] - phases[:, 0])
-        if phases.shape[1] > 1:
-            g = np.maximum(np.diff(phases, axis=1).max(axis=1), g)
-        return self._checked(ts, g - np.pi)
+        return self._checked(ts, _largest_arc(self.phases_grid(ts))[0] - np.pi)
 
     def trace_margin(self, ts) -> np.ndarray:
-        """Signed antipodality scalar for d = 2: Re[e^{-i beta t} tr U(t)].
-
-        Equals twice the cosine of the half rotation angle of the determinant
-        -normalized product, so it crosses zero exactly when the two
-        eigenphases are antipodal.
-        """
+        """Signed antipodality scalar for d = 2: twice the spin-1/2 criterion in
+        the pair's weights and beats, Re tr of the determinant-normalized U(t),
+        which crosses zero exactly when the two eigenphases are antipodal."""
         ts = np.asarray(ts, dtype=float)
-        arg = np.multiply.outer(ts, 1j * self.freqs.ravel())
-        tr = np.exp(arg, out=arg) @ self.mix.ravel()
-        return self._checked(ts, np.real(np.exp(-1j * self.beta * ts) * tr))
+        return self._checked(ts, qubit._two_beats(self.weights, self.beats, ts))
 
     @staticmethod
     def gap_margin_from_trace(c) -> np.ndarray:
@@ -253,8 +248,9 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     ``scan_step`` is t_max/2000 capped so the fastest eigenphase beat stays
     resolved, and ``refine_tol`` is 1e-10 * t_max.  A given ``t_max``,
     ``scan_step`` or ``refine_tol`` must be finite and positive, ``alpha``
-    finite.  A ``ScanContinuityWarning`` flags evaluated margin samples
-    that jump by more than the Lipschitz bound.
+    finite, and t_max (max|lam| + max|mu|) finite for the spectra lam, mu.
+    A ``ScanContinuityWarning`` flags evaluated margin samples that jump by
+    more than the Lipschitz bound.
 
     Returns a ``DiscriminationResult`` on success.  Returns a
     ``NoOrthogonality`` report when g never reaches zero on the horizon; the
@@ -269,8 +265,7 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
     span_sum = pair_data.lipschitz
-    if span_sum == 0.0:
-        # Both operators scalar: the product is a global phase forever.
+    if span_sum == 0.0:  # both operators scalar: the product is a global phase forever
         return NoOrthogonality(t_max if t_max is not None else 0.0, np.pi, 0.0)
     if t_max is None:
         t_max = 100.0 * np.pi / span_sum
@@ -278,6 +273,9 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
         scan_step = min(t_max / 2000.0, np.pi / (2.0 * span_sum))
     if refine_tol is None:
         refine_tol = 1e-10 * t_max
+    scale = float(np.abs(pair_data.lam).max() + np.abs(pair_data.mu).max())
+    if not np.isfinite(t_max * scale):  # e^{-i lam t} would be NaN on the horizon
+        raise ValueError(f"t_max * (max|lam| + max|mu|) ({t_max!r} * {scale!r}) is not finite")
     if not np.isfinite(t_max / scan_step):
         raise ValueError(f"t_max / scan_step ({t_max!r} / {scan_step!r}) is not finite")
     n = max(int(np.ceil(t_max / scan_step)), 1)

@@ -112,8 +112,7 @@ def unitary_eig(u) -> EigenSystem:
         t, z = scipy.linalg.schur(u, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
-    phases = np.angle(np.diagonal(t))
-    phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+    phases = _principal_phases(np.diagonal(t))
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = z[:, order]
@@ -142,10 +141,13 @@ def unitary_phases(u) -> np.ndarray:
     if not (np.max(np.abs(np.abs(values) - 1.0)) <= limit
             and abs(values.sum() - np.trace(u)) <= limit):
         raise ConvergenceError("eigenvalues are inconsistent with the input unitary")
+    return np.sort(_principal_phases(values))
+
+
+def _principal_phases(values) -> np.ndarray:
+    """Arguments of ``values`` in (-pi, pi]; a tie at -pi maps to +pi."""
     phases = np.angle(values)
-    phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
-    phases.sort()
-    return phases
+    return np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
 
 
 def expm_i(h, t: float) -> np.ndarray:

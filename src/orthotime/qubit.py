@@ -108,10 +108,13 @@ def criterion(gamma: float, omega_a: float, omega_b: float, t):
 
     Accepts a scalar or array ``t``.
     """
-    a = np.cos(0.5 * gamma) ** 2
-    b = np.sin(0.5 * gamma) ** 2
-    t = np.asarray(t, dtype=float)
-    return a * np.cos((omega_a - omega_b) * t) + b * np.cos((omega_a + omega_b) * t)
+    weights = (np.cos(0.5 * gamma) ** 2, np.sin(0.5 * gamma) ** 2)
+    return _two_beats(weights, (omega_a - omega_b, omega_a + omega_b), np.asarray(t, dtype=float))
+
+
+def _two_beats(weights, beats, t):
+    """a cos(delta t) + b cos(S t) for weights (a, b) and beats (delta, S)."""
+    return weights[0] * np.cos(beats[0] * t) + weights[1] * np.cos(beats[1] * t)
 
 
 def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:

@@ -17,6 +17,14 @@ def random_hermitian(rng, dim, radius=1.0):
     return h * (radius / top) if top > 0 else h
 
 
+def overflow_pair(dim):
+    """1e10 diag(1, ..., -1) against 1e10 times the nearest-neighbour hopping
+    (1e10 sigma_z, 1e10 sigma_x at d = 2): e^{-i lam t} overflows by t = 1e300."""
+    ha = 1e10 * np.diag(np.linspace(1.0, -1.0, dim)).astype(complex)
+    hb = 1e10 * (np.eye(dim, k=1) + np.eye(dim, k=-1)).astype(complex)
+    return ha, hb
+
+
 def random_state(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from orthotime import cli
+from helpers import overflow_pair
 
 
 def run_cli(args, capsys):
@@ -175,6 +177,17 @@ class TestNonFiniteInput:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "t_max / scan_step" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_phase_overflow_on_the_horizon(self, tmp_path, capsys, dim):
+        entries = [[[[z.real, z.imag] for z in row] for row in h] for h in overflow_pair(dim)]
+        path = write_problem(tmp_path, {"dim": dim, "H_a": entries[0], "H_b": entries[1]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["discriminate", "--input", path, "--t-max", "1e300",
+                                      "--scan-step", "1e297"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: t_max * (max|lam| + max|mu|)") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, field", [
         (["fig1", "--omega-sum", "inf"], "omega_sum"),

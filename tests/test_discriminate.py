@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,7 +21,8 @@ from orthotime.discriminate import (
     product_unitary,
 )
 from orthotime.errors import DimensionMismatchError
-from helpers import SX, SZ, qubit_horizon, random_axis, random_hermitian, random_state
+from helpers import (SX, SZ, overflow_pair, qubit_horizon, random_axis, random_hermitian,
+                     random_state)
 
 
 class TestProductUnitary:
@@ -249,8 +250,7 @@ class TestFindTPerp:
     def test_scan_memory_does_not_grow_with_the_grid(self):
         # 7.85 million grid intervals, the root at pi/2 in the third block of
         # 65536 points; a materialized grid alone would take 63 MB.  One d = 2
-        # block evaluates a 65536 x 4 complex exponential (4.2 MB) in place
-        # of its argument.
+        # block evaluates two real cosines of 65536 points (0.5 MB each).
         tracemalloc.start()
         try:
             out = find_t_perp(SZ, SX, scan_step=1e-5)
@@ -259,11 +259,17 @@ class TestFindTPerp:
             tracemalloc.stop()
         assert isinstance(out, DiscriminationResult)
         assert_allclose(out.t_perp, np.pi / 2, rtol=1e-8)  # refine_tol is 7.9e-9
-        assert peak < 10e6
+        assert peak < 4e6
 
     def test_grid_size_beyond_float_range_is_named(self):
         with pytest.raises(ValueError, match=r"t_max / scan_step .* is not finite"):
             find_t_perp(SZ, SX, t_max=1e300, scan_step=1e-300)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_phase_overflow_on_the_horizon_is_named(self, dim):
+        # t_max * 2e10 overflows, so the phases would be NaN on the horizon.
+        with pytest.raises(ValueError, match=r"t_max \* \(max\|lam\| \+ max\|mu\|\)"):
+            find_t_perp(*overflow_pair(dim), t_max=1e300, scan_step=1e297)
 
     def test_step_beyond_horizon_scans_one_interval(self):
         # t_max / scan_step underflows to 0; the grid still has one interval.
@@ -303,7 +309,9 @@ class TestFindTPerp:
         pair = discriminate._EvolutionPair(random_hermitian(rng, dim), random_hermitian(rng, dim))
         # Spectra 100x faster than the half-spans behind L, as a corrupted
         # evaluator would give.
-        pair.lam, pair.freqs = 100.0 * pair.lam, 100.0 * pair.freqs
+        pair.lam = 100.0 * pair.lam
+        if dim == 2:
+            pair.beats = (100.0 * pair.beats[0], 100.0 * pair.beats[1])
         margin = pair.trace_margin if dim == 2 else pair.gap_margin
         with pytest.warns(ScanContinuityWarning):
             margin(np.linspace(0.0, 1.0, 33))
@@ -402,8 +410,22 @@ class TestMetamorphicRelations:
         ha, hb = _metamorphic_pair(dim)
         base = find_t_perp(ha, hb)
         assert isinstance(base, DiscriminationResult)
-        q = _haar(np.random.default_rng(53), dim)
-        shift = np.eye(dim)
+        self.check_invariances_and_scaling(ha, hb, base, _haar(np.random.default_rng(53), dim))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]))
+    def test_invariances_and_scaling_on_drawn_pairs(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        ha, hb = random_hermitian(rng, dim, radius=1.5), random_hermitian(rng, dim, radius=1.5)
+        base = find_t_perp(ha, hb)
+        assume(isinstance(base, DiscriminationResult))  # a root inside the default horizon
+        self.check_invariances_and_scaling(ha, hb, base, _haar(rng, dim))
+
+    @staticmethod
+    def check_invariances_and_scaling(ha, hb, base, q):
+        """Conjugation by q, swap and scalar offsets keep ``base.t_perp``;
+        scaling both by c divides it by c."""
+        shift = np.eye(ha.shape[0])
         variants = {
             "conjugated": (q @ ha @ q.conj().T, q @ hb @ q.conj().T, 1.0),
             "swapped": (hb, ha, 1.0),
@@ -415,6 +437,48 @@ class TestMetamorphicRelations:
             out = find_t_perp(ha2, hb2)
             assert isinstance(out, DiscriminationResult), name
             assert_allclose(out.t_perp * c, base.t_perp, rtol=1e-9, err_msg=name)
+
+
+def _offset_qubit_pair(gamma, ratio):
+    """qubit_hamiltonian pair with axes gamma apart, offsets r0 = 0.7 and -1.3,
+    wa + wb = 2 and (wa - wb) / (wa + wb) = ratio."""
+    rng = np.random.default_rng(59)
+    na = random_axis(rng)
+    perp = np.cross(na, random_axis(rng))
+    nb = np.cos(gamma) * na + np.sin(gamma) * perp / np.linalg.norm(perp)
+    wa, wb = 1.0 + ratio, 1.0 - ratio
+    return (wa, wb, qubit.qubit_hamiltonian(qubit.QubitField(wa, na, 0.7)),
+            qubit.qubit_hamiltonian(qubit.QubitField(wb, nb, -1.3)))
+
+
+class TestQubitCrossEngine:
+    """The d = 2 engine against the closed form near gamma = pi/2 and at
+    near-equal frequencies.  The last ratio puts the closed-form root beyond
+    the default horizon when gamma = pi/2 - 1e-3."""
+
+    GAMMAS = [np.pi / 2 + d for d in (0.0, 1e-6, -1e-6, 1e-3, -1e-3)]
+    RATIOS = [0.5, 0.2, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 1e-4]
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_trace_margin_is_twice_the_criterion(self, gamma):
+        for ratio in self.RATIOS:
+            wa, wb, ha, hb = _offset_qubit_pair(gamma, ratio)
+            pair = discriminate._EvolutionPair(ha, hb)
+            ts = np.linspace(0.0, 100.0 * np.pi / pair.lipschitz, 1001)
+            assert_allclose(pair.trace_margin(ts), 2.0 * qubit.criterion(gamma, wa, wb, ts),
+                            rtol=0, atol=1e-12, err_msg=f"ratio {ratio}")
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_find_t_perp_matches_qubit_t_perp(self, gamma):
+        for ratio in self.RATIOS:
+            wa, wb, ha, hb = _offset_qubit_pair(gamma, ratio)
+            closed = qubit.qubit_t_perp(gamma, wa, wb)
+            out = find_t_perp(ha, hb)
+            if closed > 100.0 * np.pi / (2.0 * (wa + wb)):  # beyond the default horizon
+                assert isinstance(out, NoOrthogonality), f"ratio {ratio}"
+            else:
+                assert isinstance(out, DiscriminationResult), f"ratio {ratio}"
+                assert_allclose(out.t_perp, closed, rtol=1e-6, err_msg=f"ratio {ratio}")
 
 
 @pytest.mark.parametrize("dim", [2, 8])
