@@ -71,25 +71,20 @@ def spectral_half_span(h) -> float:
 def span_lower_bound(ha, hb) -> float:
     """pi / (2 wa + 2 wb) from the spectral half-spans; state-independent and
     sharp (attained by the anti-aligned construction)."""
-    ha = linalg.as_square_matrix(ha, "ha")
-    hb = linalg.as_square_matrix(hb, "hb")
-    if ha.shape != hb.shape:
-        raise DimensionMismatchError(f"shape mismatch: {ha.shape} vs {hb.shape}")
+    ha, hb = linalg._square_pair(ha, hb, ("ha", "hb"))
     return _span_bound(spectral_half_span(ha), spectral_half_span(hb))
 
 
 def _span_bound(wa: float, wb: float) -> float:
-    if wa + wb <= 0.0:
+    if wa + wb == 0.0:  # half-spans are nonnegative
         raise ValueError("both operators are scalar; no finite bound")
     return float(np.pi / (2.0 * (wa + wb)))
 
 
 def margolus_bound(e_bar: float) -> float:
     """pi / (2 e_bar): minimal orthogonalization time for average energy
-    e_bar above a zero ground level."""
-    if e_bar <= 0.0:
-        raise ValueError("average energy must be positive")
-    return float(np.pi / (2.0 * e_bar))
+    e_bar above a zero ground level; e_bar must be finite and positive."""
+    return float(np.pi / (2.0 * linalg._finite_positive(e_bar, "average energy")))
 
 
 def geodesic_length(ha, hb, psi, t: float) -> float:
@@ -110,8 +105,8 @@ def saturating_pair(omega_a: float, omega_b: float, dim: int = 2,
     the two levels with relative phase alpha.  The first orthogonality time
     of the returned triple is pi / (2 wa + 2 wb).
     """
-    if omega_a <= 0.0 or omega_b <= 0.0:
-        raise ValueError("frequencies must be strictly positive")
+    omega_a = linalg._finite_positive(omega_a, "omega_a")
+    omega_b = linalg._finite_positive(omega_b, "omega_b")
     if dim < 2:
         raise DimensionMismatchError("dim must be at least 2")
     ha = np.zeros((dim, dim), dtype=complex)
@@ -135,7 +130,7 @@ def equality_case_norm(ha, k: float, t: float) -> tuple[float, float]:
     principal-log norms.  Requires the spectrum of (1 - k) t ha to stay
     inside (-pi, pi), else the principal log would cross its cut.
     """
-    if k >= 0.0:
+    if not k < 0.0:  # NaN fails too
         raise ValueError("k must be negative")
     ha = linalg.assert_hermitian(ha, name="ha")
     values, _ = linalg.herm_eig(ha)
@@ -177,10 +172,9 @@ class BoundsReport:
 def bounds_report(ha, hb, psi=None, e_bar: float | None = None) -> BoundsReport:
     """Assemble a BoundsReport; psi enables the uncertainty-based entries and
     e_bar the difference-generator bound."""
+    ha, hb = linalg._square_pair(ha, hb, ("ha", "hb"))
     span_a = spectral_half_span(ha)
     span_b = spectral_half_span(hb)
-    if np.shape(ha) != np.shape(hb):  # herm_eig checked both are square
-        raise DimensionMismatchError(f"shape mismatch: {np.shape(ha)} vs {np.shape(hb)}")
     t_span = _span_bound(span_a, span_b)
     delta_a = delta_b = t_aa = None
     if psi is not None:

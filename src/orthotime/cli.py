@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,9 +69,10 @@ def axes_for_gamma(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([0.0, 0.0, 1.0]), np.array([np.sin(gamma), 0.0, np.cos(gamma)])
 
 
-def qubit_sweep_row(abscissa: float, gamma: float, omega_a: float, omega_b: float,
-                    alpha: float = 0.0) -> SweepRow:
-    """One sweep row: closed-form orthogonality time plus all three bounds.
+def qubit_sweep_row(abscissa: float, gamma: float, omega_a: float,
+                    omega_b: float) -> SweepRow:
+    """One sweep row: closed-form orthogonality time plus all three bounds,
+    from one ``bounds.bounds_report``.
 
     Normalized time is t * (wa + wb) / (4 pi); the uncertainty bound uses the
     optimal equatorial state at the found time.
@@ -81,16 +82,15 @@ def qubit_sweep_row(abscissa: float, gamma: float, omega_a: float, omega_b: floa
     field_b = qubit.QubitField(omega_b, axis_b)
     ha = qubit.qubit_hamiltonian(field_a)
     hb = qubit.qubit_hamiltonian(field_b)
-    t_span = bounds.span_lower_bound(ha, hb)
     e_bar = qubit.mean_energy_bar(omega_a, omega_b, float(np.cos(gamma)))
-    t_marg = bounds.margolus_bound(e_bar) if e_bar > 0.0 else None
     t_perp = qubit.qubit_t_perp(gamma, omega_a, omega_b)
+    psi = None if t_perp is None else qubit.discrimination_state(field_a, field_b, t_perp)
+    report = bounds.bounds_report(ha, hb, psi, e_bar if e_bar > 0.0 else None)
     if t_perp is None:
-        return SweepRow(abscissa, None, None, None, t_span, t_marg, False)
-    psi = qubit.discrimination_state(field_a, field_b, t_perp, alpha)
-    t_aa = bounds.aa_lower_bound(ha, hb, psi)
+        return SweepRow(abscissa, None, None, None, report.t_lb_span, report.t_margolus, False)
     t_norm = t_perp * (omega_a + omega_b) / (4.0 * np.pi)
-    return SweepRow(abscissa, t_perp, t_norm, t_aa, t_span, t_marg, True)
+    return SweepRow(abscissa, t_perp, t_norm, report.t_lb_aa, report.t_lb_span,
+                    report.t_margolus, True)
 
 
 def fig1_rows(r_min: float, r_max: float, n_points: int,
@@ -100,10 +100,7 @@ def fig1_rows(r_min: float, r_max: float, n_points: int,
         raise ValueError("need 0 < r_min <= r_max < 1")
     if n_points < 1:
         raise ValueError("need at least one sweep point")
-    if not np.isfinite(omega_sum):
-        raise ValueError("omega_sum must be finite")
-    if omega_sum <= 0.0:
-        raise ValueError("omega_sum must be positive")
+    omega_sum = linalg._finite_positive(omega_sum, "omega_sum")
     rows = []
     for r in np.linspace(r_min, r_max, n_points):
         omega_a = omega_sum * (1.0 + r) / 2.0
@@ -119,10 +116,8 @@ def fig2_rows(gamma_min: float, gamma_max: float, n_points: int,
         raise ValueError("need 0 <= gamma_min <= gamma_max <= pi")
     if n_points < 1:
         raise ValueError("need at least one sweep point")
-    if not (np.isfinite(omega_ratio) and np.isfinite(omega_sum)):
-        raise ValueError("omega_ratio and omega_sum must be finite")
-    if omega_ratio <= 0.0 or omega_sum <= 0.0:
-        raise ValueError("omega_ratio and omega_sum must be positive")
+    omega_ratio = linalg._finite_positive(omega_ratio, "omega_ratio")
+    omega_sum = linalg._finite_positive(omega_sum, "omega_sum")
     omega_a = omega_sum * omega_ratio / (1.0 + omega_ratio)
     omega_b = omega_sum / (1.0 + omega_ratio)
     rows = []
@@ -272,15 +267,7 @@ def _state_pairs(state: np.ndarray) -> list[list[float]]:
 
 
 def _bounds_dict(report: bounds.BoundsReport, t_perp: float | None) -> dict:
-    out = {
-        "delta_E_a": report.delta_E_a,
-        "delta_E_b": report.delta_E_b,
-        "span_a": report.span_a,
-        "span_b": report.span_b,
-        "t_lb_aa": report.t_lb_aa,
-        "t_lb_span": report.t_lb_span,
-        "t_margolus": report.t_margolus,
-    }
+    out = asdict(report)
     out["geodesic_length_at_t_perp"] = (
         report.geodesic_length_at(t_perp)
         if t_perp is not None and report.delta_E_a is not None else None

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import linalg, qubit
 from ._scan import first_root
-from .errors import DimensionMismatchError
 
 GAP_FTOL = 1e-11
 
@@ -154,10 +153,7 @@ class _EvolutionPair:
     The scan, the optimal state and the public helpers all use it."""
 
     def __init__(self, ha, hb):
-        ha = linalg.as_square_matrix(ha, "ha")
-        hb = linalg.as_square_matrix(hb, "hb")
-        if ha.shape != hb.shape:
-            raise DimensionMismatchError(f"shape mismatch: {ha.shape} vs {hb.shape}")
+        ha, hb = linalg._square_pair(ha, hb, ("ha", "hb"))
         self.dim = ha.shape[0]
         self.lam, va = linalg.herm_eig(ha)
         self.mu, self.vb = linalg.herm_eig(hb)
@@ -219,19 +215,6 @@ class _EvolutionPair:
         return np.pi - 2.0 * np.minimum(half, np.pi - half)
 
 
-def _finite_positive(value, name: str) -> float | None:
-    """``value`` as a float, or None when not given; raises ValueError
-    naming the argument unless it is finite and positive."""
-    if value is None:
-        return None
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite")
-    if value <= 0.0:
-        raise ValueError(f"{name} must be positive")
-    return value
-
-
 def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = None,
                 refine_tol: float | None = None, alpha: float = 0.0):
     """First orthogonality time for the pair (ha, hb) and the optimal state.
@@ -259,9 +242,9 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     the horizon is explicit).
     """
     pair_data = _EvolutionPair(ha, hb)
-    t_max = _finite_positive(t_max, "t_max")
-    scan_step = _finite_positive(scan_step, "scan_step")
-    refine_tol = _finite_positive(refine_tol, "refine_tol")
+    t_max = None if t_max is None else linalg._finite_positive(t_max, "t_max")
+    scan_step = None if scan_step is None else linalg._finite_positive(scan_step, "scan_step")
+    refine_tol = None if refine_tol is None else linalg._finite_positive(refine_tol, "refine_tol")
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
     span_sum = pair_data.lipschitz

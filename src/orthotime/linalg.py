@@ -51,6 +51,27 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _square_pair(a, b, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as square complex arrays of one shape; raises
+    ``DimensionMismatchError`` naming the operand otherwise."""
+    a = as_square_matrix(a, names[0])
+    b = as_square_matrix(b, names[1])
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _finite_positive(value, name: str) -> float:
+    """``value`` as a float; raises ValueError naming the argument unless it
+    is finite and positive."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 def as_unit_state(psi, dim: int) -> np.ndarray:
     """Return ``psi`` as a complex vector, or raise unless it has shape
     (dim,) and unit norm within ``STATE_NORM_TOL``."""
@@ -205,10 +226,7 @@ def log_frechet_diag(g, h) -> np.ndarray:
 
     where entries closer than ``COINCIDENT_TOL`` use the diagonal limit.
     """
-    g = as_square_matrix(g, "g")
-    h = as_square_matrix(h, "h")
-    if g.shape != h.shape:
-        raise DimensionMismatchError(f"shape mismatch: {g.shape} vs {h.shape}")
+    g, h = _square_pair(g, h, ("g", "h"))
     if np.any(g - np.diag(np.diagonal(g)) != 0):
         raise ValueError("g must be diagonal")
     d = np.diagonal(g)

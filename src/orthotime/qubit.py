@@ -57,7 +57,7 @@ class QubitField:
     r0: float = 0.0
 
     def __post_init__(self):
-        if self.omega < 0:
+        if not self.omega >= 0:  # NaN fails too
             raise ValueError("omega must be nonnegative")
         object.__setattr__(self, "axis", _unit_axis(self.axis))
 

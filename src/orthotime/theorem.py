@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discriminate, linalg
-from .errors import CutProximityError, DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,7 @@ def check_subadditivity(u, v, seed: int | None = None) -> TheoremTrial:
     of the branch point are skipped (the inequality's proof requires a
     cut-free path), not counted as violations.
     """
-    u = linalg.as_square_matrix(u, "u")
-    v = linalg.as_square_matrix(v, "v")
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"shape mismatch: {u.shape} vs {v.shape}")
+    u, v = linalg._square_pair(u, v, ("u", "v"))
     dim = u.shape[0]
     nan = float("nan")
     phases = [linalg.unitary_phases(m) for m in (u, v, u @ v)]
@@ -131,25 +127,22 @@ def check_induction_step(x, y, s: float, ds: float) -> tuple[float, float]:
     return z1, z0 + ds * linalg.frobenius(y)
 
 
-def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int, seed: int,
-                    traceless: bool = True) -> ConjectureScan:
+def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int,
+                    seed: int) -> ConjectureScan:
     """Compare ||log(e^{i hb t} e^{-i ha t})||_F / t over random fixed-norm
     Hermitian hb against the anti-aligned choice hb = -k_ratio * ha.
 
-    ``ha`` is trace-projected when ``traceless`` (the default, matching the
-    setting of the maximality statement); samples are Gaussian Hermitian,
-    trace-projected alike, and rescaled to k_ratio times the norm of ha.
-    Raises ``CutProximityError`` if the product generator reaches the branch
-    cut (reduce t).
+    As in the maximality statement, ``ha`` is trace-projected; samples are
+    Gaussian Hermitian, trace-projected alike, and rescaled to k_ratio times
+    the norm of the projected ha.  ``k_ratio`` and ``t`` must be finite and
+    positive.  Raises ``CutProximityError`` if the product generator reaches
+    the branch cut (reduce t).
     """
     ha = linalg.assert_hermitian(ha, name="ha")
-    if k_ratio <= 0.0:
-        raise ValueError("k_ratio must be positive")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    k_ratio = linalg._finite_positive(k_ratio, "k_ratio")
+    t = linalg._finite_positive(t, "t")
     dim = ha.shape[0]
-    if traceless:
-        ha = ha - (np.trace(ha) / dim) * np.eye(dim)
+    ha = ha - (np.trace(ha) / dim) * np.eye(dim)
     norm_a = linalg.frobenius(ha)
     if norm_a == 0.0:
         raise ValueError("ha must be nonzero after trace projection")
@@ -164,9 +157,8 @@ def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int, seed: int,
     for _ in range(n_samples):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         hb = 0.5 * (g + g.conj().T)
-        if traceless:
-            hb = hb - (np.trace(hb) / dim) * np.eye(dim)
+        hb = hb - (np.trace(hb) / dim) * np.eye(dim)
         hb = hb * (target / linalg.frobenius(hb))
         best = max(best, generator_norm(hb))
-    return ConjectureScan(dim, float(k_ratio), float(t), int(n_samples), int(seed),
+    return ConjectureScan(dim, k_ratio, t, int(n_samples), int(seed),
                           float(anti), float(best), float(anti - best))

@@ -156,7 +156,7 @@ class TestSaturatingPair:
         assert_allclose(t5, t2, rtol=1e-10)
 
     def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError, match="frequencies must be strictly positive"):
+        with pytest.raises(ValueError, match="omega_a must be positive"):
             bounds.saturating_pair(0.0, 1.0)
 
 
@@ -187,6 +187,10 @@ class TestEqualityCaseNorm:
         for t in (0.3, 1.0, 2.0):
             psi = np.array([1.0, 1.0], complex) / np.sqrt(2.0)
             assert abs(abs(bracket(psi, SZ, SZ, t)) - 1.0) <= 1e-12
+
+    def test_nan_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be negative"):
+            bounds.equality_case_norm(SZ, np.nan, 0.1)
 
     def test_cut_proximity_for_large_t(self):
         with pytest.raises(CutProximityError):

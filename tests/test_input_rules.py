@@ -1,0 +1,80 @@
+"""Each input rule is stated once, in ``linalg``, and every entry point that
+takes an operator pair or a positive scalar goes through it: a bad value
+raises an error that names the argument, NaN and infinity included."""
+
+import numpy as np
+import pytest
+
+from orthotime import bounds, cli, discriminate, linalg, theorem
+from orthotime.errors import DimensionMismatchError
+from helpers import SX, SZ
+
+HA3 = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+
+# Each routed scalar, named "function.argument", with valid values in every
+# other argument.
+SCALAR_SITES = {
+    "find_t_perp.t_max": lambda v: discriminate.find_t_perp(SZ, SX, t_max=v),
+    "find_t_perp.scan_step": lambda v: discriminate.find_t_perp(SZ, SX, scan_step=v),
+    "find_t_perp.refine_tol": lambda v: discriminate.find_t_perp(SZ, SX, refine_tol=v),
+    "fig1_rows.omega_sum": lambda v: cli.fig1_rows(0.1, 0.5, 2, omega_sum=v),
+    "fig2_rows.omega_ratio": lambda v: cli.fig2_rows(0.0, 1.0, 2, omega_ratio=v),
+    "fig2_rows.omega_sum": lambda v: cli.fig2_rows(0.0, 1.0, 2, omega_sum=v),
+    "margolus_bound.average energy": bounds.margolus_bound,
+    "saturating_pair.omega_a": lambda v: bounds.saturating_pair(v, 1.0),
+    "saturating_pair.omega_b": lambda v: bounds.saturating_pair(1.0, v),
+    "conjecture_scan.k_ratio": lambda v: theorem.conjecture_scan(HA3, v, 0.1, 3, 1),
+    "conjecture_scan.t": lambda v: theorem.conjecture_scan(HA3, 1.0, v, 3, 1),
+}
+
+BAD_SCALARS = [
+    (np.nan, "must be finite"),
+    (np.inf, "must be finite"),
+    (0.0, "must be positive"),
+    (-1.0, "must be positive"),
+]
+
+
+@pytest.mark.parametrize("value, rule", BAD_SCALARS)
+@pytest.mark.parametrize("site", list(SCALAR_SITES))
+def test_bad_positive_scalar_is_named(site, value, rule):
+    name = site.split(".", 1)[1]
+    with pytest.raises(ValueError, match=f"^{name} {rule}$"):
+        SCALAR_SITES[site](value)
+
+
+PAIR_SITES = {
+    "_EvolutionPair": (discriminate._EvolutionPair, ("ha", "hb")),
+    "find_t_perp": (discriminate.find_t_perp, ("ha", "hb")),
+    "span_lower_bound": (bounds.span_lower_bound, ("ha", "hb")),
+    "bounds_report": (bounds.bounds_report, ("ha", "hb")),
+    "check_subadditivity": (theorem.check_subadditivity, ("u", "v")),
+    "log_frechet_diag": (linalg.log_frechet_diag, ("g", "h")),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PAIR_SITES))
+def test_pair_of_two_shapes_is_a_shape_mismatch(site):
+    fn, _ = PAIR_SITES[site]
+    with pytest.raises(DimensionMismatchError, match=r"^shape mismatch: \(2, 2\) vs \(3, 3\)$"):
+        fn(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("site", sorted(PAIR_SITES))
+def test_non_square_operand_is_named(site, first):
+    fn, names = PAIR_SITES[site]
+    bad = np.ones((3, 2))
+    args = (bad, SZ) if first else (SZ, bad)
+    name = names[0] if first else names[1]
+    with pytest.raises(DimensionMismatchError, match=f"^{name} must be a square matrix"):
+        fn(*args)
+
+
+def test_bounds_report_checks_the_pair_before_its_eigendecompositions(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "herm_eig", lambda h: calls.append(h))
+    with pytest.raises(DimensionMismatchError, match="shape mismatch"):
+        bounds.bounds_report(SZ, np.eye(3, dtype=complex))
+    assert calls == []

@@ -1,6 +1,7 @@
 """The package's public surface is pinned so it cannot grow back unnoticed:
-the top-level exports, the exception classes, and the rule that tolerances
-are module constants rather than parameters."""
+the top-level exports, the exception classes, the rule that tolerances are
+module constants rather than parameters, and the rule that the operator-pair
+and positive-scalar input checks are stated only in ``linalg``."""
 
 import ast
 import inspect
@@ -71,3 +72,19 @@ def test_no_tolerance_parameters():
     for fn in functions:
         params = set(inspect.signature(fn).parameters)
         assert not params & TOLERANCE_PARAMETERS, fn.__qualname__
+
+
+# Phrases of the two input rules ``linalg._square_pair`` and
+# ``linalg._finite_positive`` state; no other module may spell them out.
+INPUT_RULE_PHRASES = ("shape mismatch", "must be positive")
+
+
+def test_input_rules_are_stated_only_in_linalg():
+    found = {phrase: set() for phrase in INPUT_RULE_PHRASES}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for phrase in INPUT_RULE_PHRASES:
+                    if phrase in node.value:
+                        found[phrase].add(path.name)
+    assert found == {phrase: {"linalg.py"} for phrase in INPUT_RULE_PHRASES}

@@ -40,6 +40,11 @@ class TestQubitHamiltonian:
         with pytest.raises(ValueError, match="axis must have unit length"):
             qubit.QubitField(1.0, np.array([np.nan, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("omega", [np.nan, -1.0])
+    def test_rejects_a_nan_or_negative_frequency(self, omega):
+        with pytest.raises(ValueError, match="omega must be nonnegative"):
+            qubit.QubitField(omega, Z_AXIS)
+
 
 class TestRotation:
     def test_zero_angle(self):
