@@ -107,6 +107,7 @@ def saturating_pair(omega_a: float, omega_b: float, dim: int = 2,
     """
     omega_a = linalg._finite_positive(omega_a, "omega_a")
     omega_b = linalg._finite_positive(omega_b, "omega_b")
+    alpha = linalg._finite(alpha, "alpha")
     if dim < 2:
         raise DimensionMismatchError("dim must be at least 2")
     ha = np.zeros((dim, dim), dtype=complex)

@@ -105,18 +105,8 @@ def max_circular_gap(phases) -> tuple[float, tuple[int, int]]:
         raise ValueError("need at least one phase")
     if np.any(np.diff(ph) < 0):
         raise ValueError("phases must be sorted ascending")
-    (gap,), (k,) = _largest_arc(ph)
+    (gap,), (k,) = linalg._largest_arc(ph)
     return float(gap), (int(k), int(k + 1) % d)
-
-
-def _largest_arc(phases) -> tuple[np.ndarray, np.ndarray]:
-    """Largest empty arc of each row of ascending phases, and the index k of
-    the phase it starts from; the arc from the last phase wraps round to the
-    first, and ties go to the lowest k."""
-    arcs = np.empty_like(phases)
-    np.subtract(phases[:, 1:], phases[:, :-1], out=arcs[:, :-1])
-    np.subtract(2.0 * np.pi, phases[:, -1] - phases[:, 0], out=arcs[:, -1])
-    return arcs.max(axis=1), arcs.argmax(axis=1)
 
 
 def orthogonal_state(frame, pair: tuple[int, int], alpha: float = 0.0) -> np.ndarray:
@@ -200,7 +190,7 @@ class _EvolutionPair:
 
     def gap_margin(self, ts) -> np.ndarray:
         """g(t) = largest empty arc - pi, batched over times."""
-        return self._checked(ts, _largest_arc(self.phases_grid(ts))[0] - np.pi)
+        return self._checked(ts, linalg._largest_arc(self.phases_grid(ts))[0] - np.pi)
 
     def trace_margin(self, ts) -> np.ndarray:
         """Signed antipodality scalar for d = 2: twice the spin-1/2 criterion in
@@ -245,8 +235,7 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     t_max = None if t_max is None else linalg._finite_positive(t_max, "t_max")
     scan_step = None if scan_step is None else linalg._finite_positive(scan_step, "scan_step")
     refine_tol = None if refine_tol is None else linalg._finite_positive(refine_tol, "refine_tol")
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    alpha = linalg._finite(alpha, "alpha")
     span_sum = pair_data.lipschitz
     if span_sum == 0.0:  # both operators scalar: the product is a global phase forever
         return NoOrthogonality(t_max if t_max is not None else 0.0, np.pi, 0.0)

@@ -9,14 +9,23 @@ diagonal point.
 Eigenphases follow the half-open convention (-pi, pi]; a tie at -pi is
 remapped to +pi.  All functions are pure and never modify their inputs, so
 they are safe to call concurrently.
+
+The eigenframe of a unitary comes from a Hermitian eigensolver, through the
+Cayley transform K = i (1 - V)(1 + V)^{-1} of the rotated unitary
+V = e^{i s} U: K is Hermitian with the eigenvectors of U, and an eigenvalue
+e^{i phi} of V becomes tan(phi/2) (Golub and Van Loan, *Matrix
+Computations*).  The rotation s puts -1 at the middle of the largest empty
+arc between the eigenphases, so every eigenvalue of V is at least half that
+arc, and so at least pi/d, away from -1, which bounds the conditioning:
+||(1 + V)^{-1}||_2 <= 1 / (2 sin(pi/2d)).  The module needs numpy only.
 """
 
 from __future__ import annotations
 
+import cmath
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -61,12 +70,19 @@ def _square_pair(a, b, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _finite_positive(value, name: str) -> float:
+def _finite(value, name: str) -> float:
     """``value`` as a float; raises ValueError naming the argument unless it
-    is finite and positive."""
+    is finite."""
     value = float(value)
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _finite_positive(value, name: str) -> float:
+    """``value`` as a float; raises ValueError naming the argument unless it
+    is finite and positive."""
+    value = _finite(value, name)
     if value <= 0.0:
         raise ValueError(f"{name} must be positive")
     return value
@@ -124,19 +140,30 @@ def herm_eig(h) -> EigenSystem:
 def unitary_eig(u) -> EigenSystem:
     """Eigenphases in (-pi, pi], ascending, with an orthonormal eigenbasis.
 
-    Uses the complex Schur form: for a (numerically) normal matrix its
-    triangular factor is diagonal, which gives an orthonormal eigenbasis even
-    across degenerate eigenvalues, unlike a generic eigensolver.
+    The phases come from ``np.linalg.eigvals``, as in ``unitary_phases``,
+    and locate the largest empty arc, of length a >= 2 pi/d, which starts
+    at phase k.  U is rotated to V = e^{i s} U, with s = pi minus the arc's
+    middle, so that 1 + V has singular values >= 2 sin(a/4) >= 2 sin(pi/2d).
+    The frame is the eigenbasis from ``np.linalg.eigh`` of the Hermitian
+    part of the Cayley transform K = i (1 - V)(1 + V)^{-1}, which is
+    i (X - X*) for X = (1 + V)^{-1}.  K has the eigenvalue tan(phi/2) for
+    each eigenvalue e^{i phi} of V, an increasing map, so ``eigh``'s
+    ascending order is the circular order of the phases starting after the
+    arc, at phase k + 1; degenerate phases keep an orthonormal frame, which
+    a generic eigensolver does not give.  The result must reproduce ``u``
+    within ``RECONSTRUCTION_TOL`` times max(||u||_F, 1); otherwise
+    ``ConvergenceError`` is raised.
     """
     u = assert_unitary(u)
+    d = u.shape[0]
     try:
-        t, z = scipy.linalg.schur(u, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
-    phases = _principal_phases(np.diagonal(t))
-    order = np.argsort(phases, kind="stable")
-    phases = phases[order]
-    vectors = z[:, order]
+        phases = np.sort(_principal_phases(np.linalg.eigvals(u)))
+        (arc,), (k,) = _largest_arc(phases[None])
+        x = np.linalg.inv(cmath.exp(1j * float(np.pi - phases[k] - 0.5 * arc)) * u + np.eye(d))
+        _, vectors = np.linalg.eigh(1j * (x - x.conj().T))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise ConvergenceError(f"unitary eigensolver failed: {exc}") from exc
+    vectors = vectors[:, np.arange(-k - 1, d - k - 1)]  # column j holds phase j
     recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
     if np.linalg.norm(recon - u) > RECONSTRUCTION_TOL * max(np.linalg.norm(u), 1.0):
         raise ConvergenceError("eigendecomposition failed to reproduce the input unitary")
@@ -169,6 +196,16 @@ def _principal_phases(values) -> np.ndarray:
     """Arguments of ``values`` in (-pi, pi]; a tie at -pi maps to +pi."""
     phases = np.angle(values)
     return np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+
+
+def _largest_arc(phases) -> tuple[np.ndarray, np.ndarray]:
+    """Largest empty arc of each row of ascending phases, and the index k of
+    the phase it starts from; the arc from the last phase wraps round to the
+    first, and ties go to the lowest k."""
+    arcs = np.empty_like(phases)
+    np.subtract(phases[:, 1:], phases[:, :-1], out=arcs[:, :-1])
+    np.subtract(2.0 * np.pi, phases[:, -1] - phases[:, 0], out=arcs[:, -1])
+    return arcs.max(axis=1), arcs.argmax(axis=1)
 
 
 def expm_i(h, t: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from ._scan import first_root
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -50,7 +51,7 @@ def _dot_sigma(axis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QubitField:
-    """Precession frequency omega >= 0, unit axis, and scalar offset r0."""
+    """Finite precession frequency omega >= 0, unit axis, and scalar offset r0."""
 
     omega: float
     axis: np.ndarray
@@ -59,6 +60,7 @@ class QubitField:
     def __post_init__(self):
         if not self.omega >= 0:  # NaN fails too
             raise ValueError("omega must be nonnegative")
+        linalg._finite(self.omega, "omega")
         object.__setattr__(self, "axis", _unit_axis(self.axis))
 
 

@@ -1,11 +1,12 @@
 """Each input rule is stated once, in ``linalg``, and every entry point that
-takes an operator pair or a positive scalar goes through it: a bad value
-raises an error that names the argument, NaN and infinity included."""
+takes an operator pair, a positive scalar or a finite scalar goes through
+it: a bad value raises an error that names the argument, NaN and infinity
+included."""
 
 import numpy as np
 import pytest
 
-from orthotime import bounds, cli, discriminate, linalg, theorem
+from orthotime import bounds, cli, discriminate, linalg, qubit, theorem
 from orthotime.errors import DimensionMismatchError
 from helpers import SX, SZ
 
@@ -42,6 +43,26 @@ def test_bad_positive_scalar_is_named(site, value, rule):
     name = site.split(".", 1)[1]
     with pytest.raises(ValueError, match=f"^{name} {rule}$"):
         SCALAR_SITES[site](value)
+
+
+# Each routed scalar that need only be finite, with the non-finite values
+# that reach the rule; a NaN or -inf omega fails QubitField's earlier
+# "omega must be nonnegative" check instead.
+FINITE_SITES = {
+    "find_t_perp.alpha": (lambda v: discriminate.find_t_perp(SZ, SX, alpha=v),
+                          [np.nan, np.inf, -np.inf]),
+    "saturating_pair.alpha": (lambda v: bounds.saturating_pair(1.0, 1.0, alpha=v),
+                              [np.nan, np.inf, -np.inf]),
+    "QubitField.omega": (lambda v: qubit.QubitField(v, [0.0, 0.0, 1.0]), [np.inf]),
+}
+
+
+@pytest.mark.parametrize("site, value", [(site, value) for site, (_, values)
+                                         in FINITE_SITES.items() for value in values])
+def test_non_finite_scalar_is_named(site, value):
+    name = site.split(".", 1)[1]
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        FINITE_SITES[site][0](value)
 
 
 PAIR_SITES = {

@@ -84,6 +84,67 @@ class TestUnitaryEig:
             linalg.assert_unitary(np.diag([bad, 1.0]).astype(complex))
 
 
+def _spectrum(kind, dim, rng):
+    """Eigenphases of one named kind for the Schur-reference cases."""
+    if kind == "identity":
+        return np.zeros(dim)
+    if kind == "minus_identity":
+        return np.full(dim, np.pi)
+    if kind == "two_fold":
+        return np.repeat(rng.uniform(-np.pi, np.pi, (dim + 1) // 2), 2)[:dim]
+    if kind == "clustered":
+        cluster = 0.7 + 1e-10 * np.arange(dim // 2 + 1)
+        return np.concatenate([cluster, rng.uniform(-3.0, 0.0, dim - cluster.size)])
+    if kind == "antipodal":
+        a = rng.uniform(0.0, np.pi, (dim + 1) // 2)
+        return np.stack([a, a - np.pi], axis=1).ravel()[:dim]
+    phases = rng.uniform(-3.0, 3.0, dim)
+    phases[0] = {"plus_pi": np.pi, "near_cut": np.pi - 1e-12}[kind]
+    return phases
+
+
+def _on_circle(phases, cut):
+    """Phases as angles from ``cut``, in [0, 2 pi), ascending."""
+    return np.sort(np.mod(phases - cut, 2.0 * np.pi))
+
+
+SPECTRA = ["identity", "minus_identity", "two_fold", "clustered", "antipodal", "plus_pi",
+           "near_cut"]
+
+
+class TestUnitaryEigAgainstSchur:
+    """The frame, phases and reconstruction of ``unitary_eig`` against an
+    independent complex Schur form, on rotated spectra with degenerate,
+    clustered, antipodal and cut-side phases."""
+
+    @pytest.mark.parametrize("kind", SPECTRA)
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_matches_schur(self, dim, kind):
+        rng = np.random.default_rng([dim, SPECTRA.index(kind)])
+        w, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        u = (w * np.exp(1j * _spectrum(kind, dim, rng))) @ w.conj().T
+        phases, vectors = linalg.unitary_eig(u)
+        assert np.abs(vectors.conj().T @ vectors - np.eye(dim)).max() <= 1e-12
+        recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+        assert np.linalg.norm(recon - u) <= linalg.RECONSTRUCTION_TOL * max(np.linalg.norm(u), 1.0)
+        t, _ = scipy.linalg.schur(u, output="complex")
+        ref = np.sort(np.angle(np.diagonal(t)))
+        arcs = np.diff(ref, append=ref[0] + 2.0 * np.pi)
+        cut = ref[np.argmax(arcs)] + 0.5 * arcs.max()  # far from every phase
+        assert_allclose(_on_circle(phases, cut), _on_circle(ref, cut), rtol=0, atol=1e-13)
+        if kind == "near_cut":
+            with pytest.raises(CutProximityError):
+                linalg.principal_log_u(u)
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_exact_plus_pi_stays_on_the_included_end(self, dim):
+        u = np.diag(np.exp(1j * np.random.default_rng(dim).uniform(-3.0, 3.0, dim)))
+        u[dim // 2, dim // 2] = -1.0
+        values, _ = linalg.unitary_eig(u)
+        assert values[-1] == np.pi
+        assert_allclose(np.linalg.eigvalsh(linalg.principal_log_u(u)), values, atol=1e-14)
+
+
 class TestUnitaryPhases:
     def test_matches_unitary_eig_on_random_unitaries(self):
         for dim in range(1, 7):

@@ -1,10 +1,14 @@
 """The package's public surface is pinned so it cannot grow back unnoticed:
 the top-level exports, the exception classes, the rule that tolerances are
-module constants rather than parameters, and the rule that the operator-pair
-and positive-scalar input checks are stated only in ``linalg``."""
+module constants rather than parameters, the rule that the operator-pair
+and positive-scalar input checks are stated only in ``linalg``, and a
+runtime that imports numpy but not scipy."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import orthotime
@@ -88,3 +92,15 @@ def test_input_rules_are_stated_only_in_linalg():
                     if phrase in node.value:
                         found[phrase].add(path.name)
     assert found == {phrase: {"linalg.py"} for phrase in INPUT_RULE_PHRASES}
+
+
+def test_cli_import_loads_no_scipy():
+    # A fresh interpreter, so modules the test suite imported do not count.
+    code = ("import orthotime.cli, sys; print(orthotime.cli.__file__); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True, timeout=60)
+    origin, loaded = done.stdout.splitlines()
+    assert Path(origin).resolve().parent == SRC
+    assert loaded == "[]"
