@@ -25,6 +25,7 @@ from . import discriminate, linalg
 from .errors import CutProximityError, DimensionMismatchError
 
 RADICAND_FLOOR = -1e-14
+COMMON_EIGENVECTOR_TOL = 1e-12  # dE_a + dE_b, relative to ||ha||_F + ||hb||_F
 
 
 def energy_uncertainty(h, psi) -> float:
@@ -55,7 +56,7 @@ def aa_lower_bound(ha, hb, psi) -> float:
 def _aa_bound(ha, hb, da: float, db: float) -> float:
     total = da + db
     scale = linalg.frobenius(ha) + linalg.frobenius(hb)
-    if total <= 1e-12 * max(scale, 1e-300):
+    if total <= COMMON_EIGENVECTOR_TOL * max(scale, 1e-300):
         raise ValueError(
             "state is an eigenvector of both operators; it cannot discriminate them"
         )
@@ -83,7 +84,7 @@ def _span_bound(wa: float, wb: float) -> float:
 
 def margolus_bound(e_bar: float) -> float:
     """pi / (2 e_bar): minimal orthogonalization time for average energy
-    e_bar above a zero ground level; e_bar must be finite and positive."""
+    e_bar above a zero ground level; e_bar is checked finite and positive."""
     return float(np.pi / (2.0 * linalg._finite_positive(e_bar, "average energy")))
 
 

@@ -133,13 +133,7 @@ def fig2_rows(gamma_min: float, gamma_max: float, n_points: int,
 def _as_number(x, field: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"{field} must be a number")
-    try:
-        value = float(x)
-    except OverflowError:  # an integer beyond the float range
-        value = np.inf
-    if not np.isfinite(value):
-        raise ValueError(f"{field} must be finite")
-    return value
+    return linalg._finite(x, field)
 
 
 def _parse_matrix(obj, dim: int, field: str) -> np.ndarray:
@@ -173,21 +167,25 @@ def _parse_axis(obj, field: str) -> np.ndarray:
     return a / norm
 
 
+def _known_fields(obj: dict, allowed: set[str], prefix: str = "") -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"{prefix}{key} is not a recognized field")
+
+
 @dataclass(frozen=True)
 class Problem:
     ha: np.ndarray
     hb: np.ndarray
     e_bar: float | None
     t_max: float | None
-    scan_step: float | None
-    refine_tol: float | None
     alpha: float
 
 
 def load_problem(path: str) -> Problem:
     """Parse and validate a problem file; error messages name the offending
-    field.  Every number must be finite; ``find_t_perp`` checks that
-    ``t_max``, ``scan_step`` and ``refine_tol`` are positive."""
+    field, an unrecognized one included.  Every number is checked finite;
+    ``find_t_perp`` checks that ``t_max`` is positive."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -195,6 +193,7 @@ def load_problem(path: str) -> Problem:
             raise ValueError(f"input is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("problem must be a JSON object")
+    _known_fields(data, {"dim", "H_a", "H_b", "qubit", "t_max", "alpha"})
 
     matrix_keys = [k for k in ("dim", "H_a", "H_b") if k in data]
     has_qubit = "qubit" in data
@@ -217,21 +216,15 @@ def load_problem(path: str) -> Problem:
         ha = _parse_matrix(data["H_a"], dim, "H_a")
         hb = _parse_matrix(data["H_b"], dim, "H_b")
 
-    def opt(field: str) -> float | None:
-        return _as_number(data[field], field) if field in data else None
-
-    alpha = opt("alpha")
-    return Problem(ha, hb, e_bar, opt("t_max"), opt("scan_step"), opt("refine_tol"),
-                   0.0 if alpha is None else alpha)
+    t_max = _as_number(data["t_max"], "t_max") if "t_max" in data else None
+    alpha = _as_number(data["alpha"], "alpha") if "alpha" in data else 0.0
+    return Problem(ha, hb, e_bar, t_max, alpha)
 
 
 def _parse_qubit(q) -> tuple[np.ndarray, np.ndarray, float]:
     if not isinstance(q, dict):
         raise ValueError("qubit must be an object")
-    allowed = {"omega_a", "omega_b", "gamma", "axis_a", "axis_b"}
-    for key in q:
-        if key not in allowed:
-            raise ValueError(f"qubit.{key} is not a recognized field")
+    _known_fields(q, {"omega_a", "omega_b", "gamma", "axis_a", "axis_b"}, "qubit.")
     for key in ("omega_a", "omega_b"):
         if key not in q:
             raise ValueError(f"qubit.{key} is required")
@@ -280,8 +273,6 @@ def _run_problem(args) -> tuple[Problem, object]:
     outcome = discriminate.find_t_perp(
         problem.ha, problem.hb,
         t_max=args.t_max if args.t_max is not None else problem.t_max,
-        scan_step=args.scan_step if args.scan_step is not None else problem.scan_step,
-        refine_tol=args.tol if args.tol is not None else problem.refine_tol,
         alpha=args.alpha if args.alpha is not None else problem.alpha,
     )
     return problem, outcome
@@ -382,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="problem JSON path")
         p.add_argument("--output", default="-", help="report path (default stdout)")
         p.add_argument("--t-max", type=float, default=None, help="scan horizon")
-        p.add_argument("--scan-step", type=float, default=None, help="scan grid step")
-        p.add_argument("--tol", type=float, default=None,
-                       help="refinement tolerance on the crossing time")
         p.add_argument("--alpha", type=float, default=None,
                        help="relative phase of the two-component state")
         p.set_defaults(func=func)

@@ -33,6 +33,11 @@ from . import linalg, qubit
 from ._scan import first_root
 
 GAP_FTOL = 1e-11
+HORIZON_SPANS = 100  # default t_max, in span lower bounds pi/L
+SCAN_POINTS = 2000  # least grid intervals over t_max; the step is also at most pi/(2L)
+REFINE_REL_TOL = 1e-10  # crossing-time tolerance, relative to t_max
+LIPSCHITZ_SLACK = 1e-6  # relative slack on L in the continuity check of a margin batch
+LIPSCHITZ_ATOL = 1e-9  # and its absolute allowance for roundoff
 
 
 class ScanContinuityWarning(RuntimeWarning):
@@ -82,7 +87,7 @@ class NoOrthogonality:
 
 def product_unitary(ha, hb, t: float) -> np.ndarray:
     """exp(i hb t) exp(-i ha t), the unitary whose eigenphases govern
-    discriminability at time t."""
+    discriminability at time t; t and t (max|lam| + max|mu|) must stay finite."""
     return _EvolutionPair(ha, hb).unitary(t)
 
 
@@ -111,12 +116,13 @@ def max_circular_gap(phases) -> tuple[float, tuple[int, int]]:
 
 def orthogonal_state(frame, pair: tuple[int, int], alpha: float = 0.0) -> np.ndarray:
     """Equal-weight two-component state W v / sqrt(2), with v carrying 1 at
-    pair[0] and e^{i alpha} at pair[1] in the eigenframe.
+    pair[0] and e^{i alpha} at pair[1] in the eigenframe, for finite alpha.
 
     Its bracket with the diagonalized unitary is (e^{i th_i} + e^{i th_j})/2,
     independent of alpha in magnitude.
     """
     frame = linalg.as_square_matrix(frame, "frame")
+    alpha = linalg._finite(alpha, "alpha")
     i, j = pair
     d = frame.shape[0]
     if not (0 <= i < d and 0 <= j < d):
@@ -164,13 +170,21 @@ class _EvolutionPair:
         eb = np.exp(1j * np.multiply.outer(ts, self.mu))
         return (eb[:, :, None] * self.overlap * ea[:, None, :]) @ self.overlap.conj().T
 
+    def checked_time(self, t, name: str) -> float:
+        """``t`` as a finite float whose phase bound t (max|lam| + max|mu|) is finite."""
+        t = linalg._finite(t, name)
+        scale = float(np.abs(self.lam).max() + np.abs(self.mu).max())
+        if not np.isfinite(t * scale):  # e^{-i lam t} would be NaN
+            raise ValueError(f"{name} * (max|lam| + max|mu|) ({t!r} * {scale!r}) is not finite")
+        return t
+
     def unitary(self, t: float) -> np.ndarray:
         """U(t) = exp(i hb t) exp(-i ha t)."""
-        return self.vb @ self.product_grid(np.array([float(t)]))[0] @ self.vb.conj().T
+        return self.vb @ self.product_grid([self.checked_time(t, "t")])[0] @ self.vb.conj().T
 
     def spectrum(self, t: float) -> PhaseSpectrum:
         """Eigenphases of U(t) and its frame Vb Z, with Vb* U(t) Vb = Z e^{i phases} Z*."""
-        phases, z = linalg.unitary_eig(self.product_grid(np.array([float(t)]))[0])
+        phases, z = linalg.unitary_eig(self.product_grid([self.checked_time(t, "t")])[0])
         return PhaseSpectrum(float(t), phases, self.vb @ z)
 
     def phases_grid(self, ts) -> np.ndarray:
@@ -182,8 +196,8 @@ class _EvolutionPair:
         """``values``, after a ``ScanContinuityWarning`` if two adjacent
         samples of the batch differ by more than L times their spacing."""
         if values.size > 1:
-            excess = np.abs(np.diff(values)) - (1.0 + 1e-6) * self.lipschitz * np.diff(ts)
-            if excess.max() > 1e-9:
+            excess = np.abs(np.diff(values)) - (1 + LIPSCHITZ_SLACK) * self.lipschitz * np.diff(ts)
+            if excess.max() > LIPSCHITZ_ATOL:
                 warnings.warn(f"scan jump exceeds the Lipschitz bound by {excess.max():.3e}; "
                               "samples may be corrupted", ScanContinuityWarning, stacklevel=3)
         return values
@@ -205,25 +219,19 @@ class _EvolutionPair:
         return np.pi - 2.0 * np.minimum(half, np.pi - half)
 
 
-def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = None,
-                refine_tol: float | None = None, alpha: float = 0.0):
+def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     """First orthogonality time for the pair (ha, hb) and the optimal state.
 
     Scans the gap margin g(t) on a uniform grid over [0, t_max] and refines
-    the first instant it reaches zero (sub-grid tangency by recursive
-    subsampling; sign change by ``_scan.bisect_root``, safeguarded inverse
-    quadratic and secant steps, a few single-time margin evaluations on a
-    smooth crossing).  The grid is evaluated lazily in growing blocks and
-    the scan stops at the first root, with the same result as scanning every
-    grid point (see ``_scan.first_root``); no grid is materialized, so
-    memory is bounded by one block whatever ``scan_step`` is.  Defaults:
-    ``t_max`` is 100x the spectral-span lower bound pi/(2 wa + 2 wb),
-    ``scan_step`` is t_max/2000 capped so the fastest eigenphase beat stays
-    resolved, and ``refine_tol`` is 1e-10 * t_max.  A given ``t_max``,
-    ``scan_step`` or ``refine_tol`` must be finite and positive, ``alpha``
-    finite, and t_max (max|lam| + max|mu|) finite for the spectra lam, mu.
-    A ``ScanContinuityWarning`` flags evaluated margin samples that jump by
-    more than the Lipschitz bound.
+    the first instant it reaches zero, a sign change or a sub-grid touch (see
+    ``_scan.first_root``).  The grid is evaluated lazily in growing blocks and
+    the scan stops at the first root, so memory is bounded by one block.  The
+    step is t_max / ``SCAN_POINTS``, at most pi/(2L) for the margin's Lipschitz
+    constant L = 2 (wa + wb); t_max defaults to ``HORIZON_SPANS`` span lower
+    bounds pi/L, and a crossing is refined to ``REFINE_REL_TOL`` * t_max.  A
+    given t_max is checked positive and, like alpha, t_max (max|lam| +
+    max|mu|) and the grid count, finite.  A ``ScanContinuityWarning`` flags
+    samples that break the Lipschitz bound.
 
     Returns a ``DiscriminationResult`` on success.  Returns a
     ``NoOrthogonality`` report when g never reaches zero on the horizon; the
@@ -233,27 +241,19 @@ def find_t_perp(ha, hb, t_max: float | None = None, scan_step: float | None = No
     """
     pair_data = _EvolutionPair(ha, hb)
     t_max = None if t_max is None else linalg._finite_positive(t_max, "t_max")
-    scan_step = None if scan_step is None else linalg._finite_positive(scan_step, "scan_step")
-    refine_tol = None if refine_tol is None else linalg._finite_positive(refine_tol, "refine_tol")
     alpha = linalg._finite(alpha, "alpha")
-    span_sum = pair_data.lipschitz
-    if span_sum == 0.0:  # both operators scalar: the product is a global phase forever
+    if pair_data.lipschitz == 0.0:  # both operators scalar: the product is a global phase forever
         return NoOrthogonality(t_max if t_max is not None else 0.0, np.pi, 0.0)
     if t_max is None:
-        t_max = 100.0 * np.pi / span_sum
-    if scan_step is None:
-        scan_step = min(t_max / 2000.0, np.pi / (2.0 * span_sum))
-    if refine_tol is None:
-        refine_tol = 1e-10 * t_max
-    scale = float(np.abs(pair_data.lam).max() + np.abs(pair_data.mu).max())
-    if not np.isfinite(t_max * scale):  # e^{-i lam t} would be NaN on the horizon
-        raise ValueError(f"t_max * (max|lam| + max|mu|) ({t_max!r} * {scale!r}) is not finite")
-    if not np.isfinite(t_max / scan_step):
-        raise ValueError(f"t_max / scan_step ({t_max!r} / {scan_step!r}) is not finite")
-    n = max(int(np.ceil(t_max / scan_step)), 1)
+        t_max = HORIZON_SPANS * np.pi / pair_data.lipschitz
+    pair_data.checked_time(t_max, "t_max")
+    step = min(t_max / SCAN_POINTS, np.pi / (2.0 * pair_data.lipschitz))
+    n = np.ceil(t_max / step) if step > 0.0 else np.inf  # t_max / SCAN_POINTS may underflow
+    if not np.isfinite(n):
+        raise ValueError(f"t_max ({t_max!r}) gives no finite scan grid count")
 
     f_batch = pair_data.trace_margin if pair_data.dim == 2 else pair_data.gap_margin
-    hit = first_root(f_batch, t_max, n, pair_data.lipschitz, refine_tol, GAP_FTOL)
+    hit = first_root(f_batch, t_max, int(n), pair_data.lipschitz, REFINE_REL_TOL * t_max, GAP_FTOL)
     if hit.kind == "none":
         # All samples are positive, where the trace-to-gap map increases.
         g = pair_data.gap_margin_from_trace(hit.value) if pair_data.dim == 2 else hit.value

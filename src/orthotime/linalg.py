@@ -72,8 +72,11 @@ def _square_pair(a, b, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
 
 def _finite(value, name: str) -> float:
     """``value`` as a float; raises ValueError naming the argument unless it
-    is finite."""
-    value = float(value)
+    is finite, an integer beyond the float range included."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = np.inf
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite")
     return value
@@ -214,8 +217,9 @@ def expm_i(h, t: float) -> np.ndarray:
     The spectral route is exact up to eigensolver error and unitary by
     construction, which is why it is preferred over a series or Pade form.
     """
+    t = _finite(t, "t")
     values, vectors = herm_eig(h)
-    return (vectors * np.exp(-1j * values * float(t))) @ vectors.conj().T
+    return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
 
 
 def principal_log_u(u) -> np.ndarray:

@@ -51,7 +51,7 @@ def _dot_sigma(axis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QubitField:
-    """Finite precession frequency omega >= 0, unit axis, and scalar offset r0."""
+    """Finite precession frequency omega >= 0, unit axis, finite scalar offset r0."""
 
     omega: float
     axis: np.ndarray
@@ -61,6 +61,7 @@ class QubitField:
         if not self.omega >= 0:  # NaN fails too
             raise ValueError("omega must be nonnegative")
         linalg._finite(self.omega, "omega")
+        linalg._finite(self.r0, "r0")
         object.__setattr__(self, "axis", _unit_axis(self.axis))
 
 
@@ -134,13 +135,14 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     evaluated lazily in growing blocks and the scan stops at the first root,
     with the same result as scanning every grid point (see
     ``_scan.first_root``); no grid is materialized, so memory is bounded by
-    one block.  A non-finite gamma or frequency raises ValueError.
+    one block.  A non-finite argument or frequency sum raises ValueError.
     """
-    if not np.all(np.isfinite([gamma, omega_a, omega_b])):
-        raise ValueError("gamma and the frequencies must be finite")
+    gamma = linalg._finite(gamma, "gamma")
+    omega_a = linalg._finite(omega_a, "omega_a")
+    omega_b = linalg._finite(omega_b, "omega_b")
     if omega_a < 0 or omega_b < 0:
         raise ValueError("frequencies must be nonnegative")
-    total = omega_a + omega_b
+    total = linalg._finite(omega_a + omega_b, "omega_a + omega_b")
     if total == 0:
         raise ValueError("frequencies must not both be zero")
     a = np.cos(0.5 * gamma) ** 2
@@ -182,6 +184,7 @@ def equatorial_state(axis, alpha: float = 0.0) -> np.ndarray:
     imaginary part of the bracket for a rotation about that axis.
     """
     n = _unit_axis(axis)
+    alpha = linalg._finite(alpha, "alpha")
     theta = np.arccos(np.clip(n[2], -1.0, 1.0))
     phi = np.arctan2(n[1], n[0])
     up = np.array([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)])
@@ -200,6 +203,7 @@ def discrimination_state(field_a: QubitField, field_b: QubitField, t: float,
     the criterion.  Note the ordering: the reversed product shares the angle
     (and hence the root) but not the axis.
     """
+    t = linalg._finite(t, "t")
     comp = compose_rotations(-2.0 * field_b.omega * t, field_b.axis,
                              -2.0 * field_a.omega * t, field_a.axis)
     return equatorial_state(comp.axis, alpha)

@@ -134,7 +134,7 @@ def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int,
 
     As in the maximality statement, ``ha`` is trace-projected; samples are
     Gaussian Hermitian, trace-projected alike, and rescaled to k_ratio times
-    the norm of the projected ha.  ``k_ratio`` and ``t`` must be finite and
+    the norm of the projected ha.  ``k_ratio`` and ``t`` are checked finite and
     positive.  Raises ``CutProximityError`` if the product generator reaches
     the branch cut (reduce t).
     """

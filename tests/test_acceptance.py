@@ -66,9 +66,7 @@ def qubit_oracle_data():
         ha = qubit.qubit_hamiltonian(qubit.QubitField(omega_a, axis_a))
         hb = qubit.qubit_hamiltonian(qubit.QubitField(omega_b, axis_b))
         horizon = qubit_horizon(gamma, omega_a, omega_b)
-        outcome = find_t_perp(
-            ha, hb, t_max=1.05 * horizon,
-            scan_step=min(1.05 * horizon / 2000, np.pi / (4 * (omega_a + omega_b))))
+        outcome = find_t_perp(ha, hb, t_max=1.05 * horizon)
         records.append((ha, hb, t_closed, outcome))
     return records, time.perf_counter() - start
 

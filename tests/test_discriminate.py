@@ -235,8 +235,7 @@ class TestFindTPerp:
             ha = qubit.qubit_hamiltonian(qubit.QubitField(wa, na))
             hb = qubit.qubit_hamiltonian(qubit.QubitField(wb, nb))
             horizon = qubit_horizon(gamma, wa, wb)
-            out = find_t_perp(ha, hb, t_max=1.05 * horizon,
-                              scan_step=min(1.05 * horizon / 2000, np.pi / (4 * (wa + wb))))
+            out = find_t_perp(ha, hb, t_max=1.05 * horizon)
             assert t_closed is not None and isinstance(out, DiscriminationResult)
             assert_allclose(out.t_perp, t_closed, rtol=1e-6)
 
@@ -248,44 +247,55 @@ class TestFindTPerp:
             find_t_perp(random_hermitian(rng, 5), random_hermitian(rng, 5))
 
     def test_scan_memory_does_not_grow_with_the_grid(self):
-        # 7.85 million grid intervals, the root at pi/2 in the third block of
-        # 65536 points; a materialized grid alone would take 63 MB.  One d = 2
-        # block evaluates two real cosines of 65536 points (0.5 MB each).
+        # A rootless pair (as below) on 1,018,592 grid intervals of pi/8: the
+        # scan evaluates all of them, in 14 full blocks of 65536 points and 11
+        # smaller ones, where a materialized grid alone would take 8.1 MB.
+        # One d = 2 block evaluates two real cosines of 65536 points (0.5 MB each).
+        ha, hb = SZ, np.cos(0.5) * SZ + np.sin(0.5) * SX
         tracemalloc.start()
         try:
-            out = find_t_perp(SZ, SX, scan_step=1e-5)
+            out = find_t_perp(ha, hb, t_max=4e5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert isinstance(out, DiscriminationResult)
-        assert_allclose(out.t_perp, np.pi / 2, rtol=1e-8)  # refine_tol is 7.9e-9
+        assert isinstance(out, NoOrthogonality)
+        assert_allclose(out.g_infimum, np.pi - 1.0, atol=1e-4)
         assert peak < 4e6
 
     def test_grid_size_beyond_float_range_is_named(self):
-        with pytest.raises(ValueError, match=r"t_max / scan_step .* is not finite"):
-            find_t_perp(SZ, SX, t_max=1e300, scan_step=1e-300)
+        # t_max * 2 is finite, but t_max over the step pi/8 is not.
+        with pytest.raises(ValueError, match=r"^t_max \(8e\+307\) gives no finite scan grid"):
+            find_t_perp(SZ, SX, t_max=8e307)
+
+    def test_grid_step_below_float_range_is_named(self):
+        # t_max / SCAN_POINTS underflows to a zero step.
+        with pytest.raises(ValueError, match=r"^t_max \(1e-322\) gives no finite scan grid"):
+            find_t_perp(SZ, SX, t_max=1e-322)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_phase_overflow_on_the_horizon_is_named(self, dim):
         # t_max * 2e10 overflows, so the phases would be NaN on the horizon.
         with pytest.raises(ValueError, match=r"t_max \* \(max\|lam\| \+ max\|mu\|\)"):
-            find_t_perp(*overflow_pair(dim), t_max=1e300, scan_step=1e297)
+            find_t_perp(*overflow_pair(dim), t_max=1e300)
 
-    def test_step_beyond_horizon_scans_one_interval(self):
-        # t_max / scan_step underflows to 0; the grid still has one interval.
-        out = find_t_perp(SZ, SX, t_max=1e-300, scan_step=1e100)
-        assert isinstance(out, NoOrthogonality) and out.t_max == 1e-300
+    @pytest.mark.parametrize("helper", [product_unitary, phase_spectrum,
+                                        lambda ha, hb, t: bracket(np.eye(len(ha))[0], ha, hb, t)])
+    def test_phase_overflow_at_t_is_named(self, helper):
+        with pytest.raises(ValueError, match=r"^t \* \(max\|lam\| \+ max\|mu\|\)"):
+            helper(*overflow_pair(2), 1e300)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_no_root_reports_the_lowest_grid_sample(self, dim):
         # Equal frequencies with axes 0.5 rad apart: the product is a rotation
         # by at most 1 rad, so g >= pi - 1 > 0, reached first at t = pi/2.
+        # Both spans are 2, so L = 4 and the step is min(t_max/2000, pi/8).
         ha = np.zeros((dim, dim), dtype=complex)
         hb = np.zeros((dim, dim), dtype=complex)
         ha[:2, :2] = SZ
         hb[:2, :2] = np.cos(0.5) * SZ + np.sin(0.5) * SX
-        t_max, step = 10.0, 0.01
-        out = find_t_perp(ha, hb, t_max=t_max, scan_step=step)
+        t_max = 20.0
+        step = t_max / discriminate.SCAN_POINTS
+        out = find_t_perp(ha, hb, t_max=t_max)
         assert isinstance(out, NoOrthogonality)
         pair = discriminate._EvolutionPair(ha, hb)
         ts = np.linspace(0.0, t_max, int(np.ceil(t_max / step)) + 1)
@@ -326,7 +336,7 @@ class TestFindTPerp:
 
     @pytest.mark.parametrize("ha, hb", [(2.0 * np.eye(3, dtype=complex),
                                          -np.eye(3, dtype=complex)), (SZ, SX)])
-    @pytest.mark.parametrize("kwargs", [{"t_max": -1.0}, {"t_max": 0.0}, {"scan_step": -1.0}])
+    @pytest.mark.parametrize("kwargs", [{"t_max": -1.0}, {"t_max": 0.0}])
     def test_nonpositive_horizon_or_step_raises(self, ha, hb, kwargs):
         with pytest.raises(ValueError):
             find_t_perp(ha, hb, **kwargs)
@@ -336,12 +346,6 @@ class TestFindTPerp:
     @pytest.mark.parametrize("name, value, message", [
         ("t_max", np.inf, "t_max must be finite"),
         ("t_max", np.nan, "t_max must be finite"),
-        ("scan_step", np.inf, "scan_step must be finite"),
-        ("scan_step", np.nan, "scan_step must be finite"),
-        ("refine_tol", -1.0, "refine_tol must be positive"),
-        ("refine_tol", 0.0, "refine_tol must be positive"),
-        ("refine_tol", np.nan, "refine_tol must be finite"),
-        ("refine_tol", np.inf, "refine_tol must be finite"),
     ])
     def test_non_finite_or_nonpositive_argument_is_named(self, ha, hb, name, value, message):
         with pytest.raises(ValueError, match=message):

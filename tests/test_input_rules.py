@@ -3,12 +3,14 @@ takes an operator pair, a positive scalar or a finite scalar goes through
 it: a bad value raises an error that names the argument, NaN and infinity
 included."""
 
+import re
+
 import numpy as np
 import pytest
 
 from orthotime import bounds, cli, discriminate, linalg, qubit, theorem
 from orthotime.errors import DimensionMismatchError
-from helpers import SX, SZ
+from helpers import I2, SX, SZ
 
 HA3 = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
@@ -17,8 +19,6 @@ HA3 = np.diag([1.0, 0.0, -1.0]).astype(complex)
 # other argument.
 SCALAR_SITES = {
     "find_t_perp.t_max": lambda v: discriminate.find_t_perp(SZ, SX, t_max=v),
-    "find_t_perp.scan_step": lambda v: discriminate.find_t_perp(SZ, SX, scan_step=v),
-    "find_t_perp.refine_tol": lambda v: discriminate.find_t_perp(SZ, SX, refine_tol=v),
     "fig1_rows.omega_sum": lambda v: cli.fig1_rows(0.1, 0.5, 2, omega_sum=v),
     "fig2_rows.omega_ratio": lambda v: cli.fig2_rows(0.0, 1.0, 2, omega_ratio=v),
     "fig2_rows.omega_sum": lambda v: cli.fig2_rows(0.0, 1.0, 2, omega_sum=v),
@@ -29,15 +29,24 @@ SCALAR_SITES = {
     "conjecture_scan.t": lambda v: theorem.conjecture_scan(HA3, 1.0, v, 3, 1),
 }
 
+# An integer beyond the float range counts as infinite.
+HUGE_INT = 10**400
+
+
+def _value_id(value):
+    return "1e400" if value is HUGE_INT else None
+
+
 BAD_SCALARS = [
     (np.nan, "must be finite"),
     (np.inf, "must be finite"),
+    (HUGE_INT, "must be finite"),
     (0.0, "must be positive"),
     (-1.0, "must be positive"),
 ]
 
 
-@pytest.mark.parametrize("value, rule", BAD_SCALARS)
+@pytest.mark.parametrize("value, rule", BAD_SCALARS, ids=_value_id)
 @pytest.mark.parametrize("site", list(SCALAR_SITES))
 def test_bad_positive_scalar_is_named(site, value, rule):
     name = site.split(".", 1)[1]
@@ -45,23 +54,40 @@ def test_bad_positive_scalar_is_named(site, value, rule):
         SCALAR_SITES[site](value)
 
 
-# Each routed scalar that need only be finite, with the non-finite values
-# that reach the rule; a NaN or -inf omega fails QubitField's earlier
+# Each routed scalar that need only be finite, with the values that reach
+# the rule: non-finite ones, or for the frequency sum two finite frequencies
+# whose sum overflows.  A NaN or -inf omega fails QubitField's earlier
 # "omega must be nonnegative" check instead.
+NON_FINITE = [np.nan, np.inf, -np.inf, HUGE_INT]
+Z_AXIS = [0.0, 0.0, 1.0]
+FIELD = qubit.QubitField(1.0, Z_AXIS)
 FINITE_SITES = {
-    "find_t_perp.alpha": (lambda v: discriminate.find_t_perp(SZ, SX, alpha=v),
-                          [np.nan, np.inf, -np.inf]),
-    "saturating_pair.alpha": (lambda v: bounds.saturating_pair(1.0, 1.0, alpha=v),
-                              [np.nan, np.inf, -np.inf]),
-    "QubitField.omega": (lambda v: qubit.QubitField(v, [0.0, 0.0, 1.0]), [np.inf]),
+    "find_t_perp.alpha": (lambda v: discriminate.find_t_perp(SZ, SX, alpha=v), NON_FINITE),
+    "saturating_pair.alpha": (lambda v: bounds.saturating_pair(1.0, 1.0, alpha=v), NON_FINITE),
+    "QubitField.omega": (lambda v: qubit.QubitField(v, Z_AXIS), [np.inf, HUGE_INT]),
+    "QubitField.r0": (lambda v: qubit.QubitField(1.0, Z_AXIS, r0=v), NON_FINITE),
+    "qubit_t_perp.gamma": (lambda v: qubit.qubit_t_perp(v, 1.0, 2.0), NON_FINITE),
+    "qubit_t_perp.omega_a": (lambda v: qubit.qubit_t_perp(0.3, v, 2.0), NON_FINITE),
+    "qubit_t_perp.omega_b": (lambda v: qubit.qubit_t_perp(0.3, 1.0, v), NON_FINITE),
+    "qubit_t_perp.omega_a + omega_b": (lambda v: qubit.qubit_t_perp(2.0, v, v), [1e308]),
+    "equatorial_state.alpha": (lambda v: qubit.equatorial_state(Z_AXIS, v), NON_FINITE),
+    "discrimination_state.t": (lambda v: qubit.discrimination_state(FIELD, FIELD, v),
+                               NON_FINITE),
+    "product_unitary.t": (lambda v: discriminate.product_unitary(SZ, SX, v), NON_FINITE),
+    "phase_spectrum.t": (lambda v: discriminate.phase_spectrum(SZ, SX, v), NON_FINITE),
+    "bracket.t": (lambda v: discriminate.bracket(I2[0], SZ, SX, v), NON_FINITE),
+    "orthogonal_state.alpha": (lambda v: discriminate.orthogonal_state(I2, (0, 1), v),
+                               NON_FINITE),
+    "expm_i.t": (lambda v: linalg.expm_i(SZ, v), NON_FINITE),
 }
 
 
 @pytest.mark.parametrize("site, value", [(site, value) for site, (_, values)
-                                         in FINITE_SITES.items() for value in values])
+                                         in FINITE_SITES.items() for value in values],
+                         ids=_value_id)
 def test_non_finite_scalar_is_named(site, value):
     name = site.split(".", 1)[1]
-    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite$"):
         FINITE_SITES[site][0](value)
 
 

@@ -1,9 +1,12 @@
 """The package's public surface is pinned so it cannot grow back unnoticed:
 the top-level exports, the exception classes, the rule that tolerances are
-module constants rather than parameters, the rule that the operator-pair
-and positive-scalar input checks are stated only in ``linalg``, and a
-runtime that imports numpy but not scipy."""
+module constants rather than parameters, the settable values of
+``find_t_perp`` and of the ``discriminate`` and ``bounds`` commands, the
+rule that the operator-pair, positive-scalar and finite-scalar input checks
+are stated only in ``linalg``, and a runtime that imports numpy but not
+scipy."""
 
+import argparse
 import ast
 import inspect
 import os
@@ -12,7 +15,7 @@ import sys
 from pathlib import Path
 
 import orthotime
-from orthotime import _scan, bounds, errors, linalg, qubit, theorem
+from orthotime import _scan, bounds, cli, discriminate, errors, linalg, qubit, theorem
 
 SRC = Path(orthotime.__file__).resolve().parent
 
@@ -70,7 +73,7 @@ def _public_functions(module):
 
 
 def test_no_tolerance_parameters():
-    functions = [fn for module in (linalg, theorem, bounds, qubit)
+    functions = [fn for module in (linalg, theorem, bounds, qubit, discriminate)
                  for fn in _public_functions(module)]
     functions += [_scan.first_root, _scan._touch_hunt]
     for fn in functions:
@@ -78,9 +81,26 @@ def test_no_tolerance_parameters():
         assert not params & TOLERANCE_PARAMETERS, fn.__qualname__
 
 
-# Phrases of the two input rules ``linalg._square_pair`` and
-# ``linalg._finite_positive`` state; no other module may spell them out.
-INPUT_RULE_PHRASES = ("shape mismatch", "must be positive")
+def test_find_t_perp_sets_only_the_horizon_and_the_phase():
+    # The grid step and the refinement tolerance are worked out from the pair.
+    # alpha is keyword-only, so an old positional call with a step fails.
+    params = inspect.signature(discriminate.find_t_perp).parameters
+    assert list(params) == ["ha", "hb", "t_max", "alpha"]
+    assert params["alpha"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_problem_commands_offer_only_the_horizon_and_the_phase():
+    parser = cli.build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for name in ("discriminate", "bounds"):
+        flags = {flag for action in commands[name]._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == {"--input", "--output", "--t-max", "--alpha"}, name
+
+
+# Phrases of the input rules ``linalg._square_pair``, ``linalg._finite_positive``
+# and ``linalg._finite`` state; no other module may spell them out.
+INPUT_RULE_PHRASES = ("shape mismatch", "must be positive", "must be finite")
 
 
 def test_input_rules_are_stated_only_in_linalg():

@@ -179,7 +179,8 @@ class TestQubitTPerp:
     @pytest.mark.parametrize("args", [(np.nan, 1.0, 2.0), (0.3, np.inf, 2.0), (0.3, 1.0, np.nan),
                                       (np.inf, 3.0, 1.0)])
     def test_rejects_non_finite_input(self, args):
-        with pytest.raises(ValueError, match="gamma and the frequencies must be finite"):
+        name = ("gamma", "omega_a", "omega_b")[int(np.argmin(np.isfinite(args)))]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             qubit.qubit_t_perp(*args)
 
 
