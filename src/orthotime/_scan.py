@@ -15,8 +15,13 @@ that no curve costs more than ``_SLACK`` evaluations beyond bisection.
 The scan computes its own abscissae, a block at a time, on the uniform grid
 of n intervals over [0, t_end] and stops at the first root.  No grid is
 materialized: a root early in the horizon costs a few blocks, and memory is
-bounded by one block whatever the step.  The result is the same, bit for
-bit, as sampling every grid point first (see ``first_root``).
+bounded by one block whatever the step.  Given the curve's exact start value
+f0 and its slope bound L, the scan also skips the prefix of the grid that
+f >= f0 - L t proves clear of every root and touch candidate (the first
+Lipschitz step of Piyavskii-Shubert): it starts next to the first grid
+point the bound leaves open, with a first block reaching to twice f0 / L,
+the earliest time the bound leaves for a root.  The result is the same, bit
+for bit, as sampling every grid point first (see ``first_root``).
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Block schedule of the lazy scan: the first block is short because roots
-# often sit early in the horizon; the cap bounds the memory of one block.
-_FIRST_BLOCK = 64
+# Block schedule of the lazy scan: the first block holds ``_FIRST_BLOCK``
+# points when nothing is certified, and otherwise at least as many, reaching
+# to twice the certified bound, because roots often sit early in the horizon;
+# the cap bounds the memory of one block.
+_FIRST_BLOCK = 16
 _MAX_BLOCK = 65536
 # Evaluations one crossing refinement may spend; the bisection safeguard
 # reaches adjacent floats long before this on any bracket the scans hand over.
@@ -146,10 +153,12 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschi
                                float(fs[j - 1]), float(fs[j]), xtol, ftol)
             return RootHit(t, v, "crossing")
         # Lowest value a curve of slope <= lipschitz through the samples can
-        # reach between two neighbours (-inf for an infinite lipschitz).
-        floor = 0.5 * np.min(fs[:-1] + fs[1:] - lipschitz * np.diff(ts))
-        if floor > 2.0 * TOUCH_TOL:
-            return None
+        # reach between two neighbours; no bound for an infinite lipschitz,
+        # whose product with a spacing rounded to 0 would be NaN.
+        if np.isfinite(lipschitz):
+            floor = 0.5 * np.min(fs[:-1] + fs[1:] - lipschitz * np.diff(ts))
+            if floor > 2.0 * TOUCH_TOL:
+                return None
         m = int(np.argmin(fs))
         best_t, best_f = float(ts[m]), float(fs[m])
         width_floor = max(xtol, 4.0 * np.finfo(float).eps * max(abs(hi), 1.0))
@@ -170,24 +179,56 @@ def _touch_candidates(fs, window: float) -> np.ndarray:
     return np.flatnonzero((mid <= window) & (left >= mid) & (mid <= right)) + 1
 
 
+def _blocks(start: int, stop: int, size: int):
+    """Consecutive index ranges [a, b) covering [start, stop): the first
+    ``size`` long, each next one twice the last, none above ``_MAX_BLOCK``."""
+    while start < stop:
+        end = min(start + size, stop)
+        yield start, end
+        start, size = end, min(2 * size, _MAX_BLOCK)
+
+
+def _lower(low, ts, fs):
+    """The lower of ``low`` (a (time, value) pair, or None) and the lowest of
+    the samples ``fs`` at ``ts``; ties keep the earlier, ``low``."""
+    m = int(fs.argmin())
+    return (ts[m], fs[m]) if low is None or fs[m] < low[1] else low
+
+
 def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
-               ftol: float) -> RootHit:
+               ftol: float, f0: float | None = None) -> RootHit:
     """Earliest root on [0, ``t_end``] of a curve that starts strictly
     positive, scanned on the uniform grid of ``n`` >= 1 intervals.
 
     ``f_batch`` maps an array of abscissae to an array of values.  It is
-    called on consecutive blocks of the grid (``_FIRST_BLOCK`` points,
-    doubling up to ``_MAX_BLOCK``), each computed as
+    called on consecutive blocks of the grid, each computed as
     ``np.arange(start, stop) * (t_end / n)`` with the last point set to
     exactly ``t_end``: bit for bit the points of
     ``np.linspace(0, t_end, n + 1)``, which is never built.  Evaluation
-    stops at the first root.  Positive local minima within
+    stops at the first root.  Positive local minima within the window
     ``lipschitz * t_end / n`` of zero (none when ``lipschitz`` is 0) are
     inspected as potential sub-grid touches, in grid order and before a
     later sign change; so is a horizon-endpoint sample within that window
     that is still falling, as a one-sided touch.  Returns a RootHit of kind
     "crossing" or "touch"; with no root, of kind "none", holding the
     smallest sample and the first grid time where it occurs.
+
+    Certified start: ``f0``, when given, is the curve's exact value at 0,
+    checked strictly positive, and ``lipschitz`` bounds its slope.  Then
+    f(t) >= f0 - lipschitz t, so with clear = (f0 - window) / lipschitz the
+    curve exceeds twice the window at every grid index below
+    k = ceil(clear / step) - 1: none of them is a touch candidate or a sign
+    change, even with sampling errors up to the window.  Evaluation starts
+    at s = max(k - 1, 0), the left neighbour of the first possible
+    candidate.  The first block reaches from s to twice b = k + 2, the
+    first grid index at or past f0 / lipschitz, the earliest time the bound
+    leaves for a root, so one batch covers every root up to twice that time;
+    it holds at least ``_FIRST_BLOCK`` and at most ``_MAX_BLOCK`` points,
+    and each later block doubles up to ``_MAX_BLOCK``.  Without ``f0`` the
+    scan starts at index 0, whose sample is checked positive, with a first
+    block of ``_FIRST_BLOCK`` points.  A scan that finds no root then
+    samples the skipped prefix too, in the same bounded blocks, for the
+    smallest sample.
 
     Guarantee: the result is the same, bit for bit, as that of a scan that
     samples the whole grid first and walks it point by point.  That walk
@@ -200,13 +241,26 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
     """
     step = t_end / n
     window = lipschitz * step
-    tail = np.empty(0)  # last two samples of the previous block
-    start, size = 0, _FIRST_BLOCK
-    while start <= n:
-        stop = min(start + size, n + 1)
-        ts = np.arange(start - tail.size, stop, dtype=float) * step  # abscissae of tail and block
-        if stop > n:
+    s, first = 0, _FIRST_BLOCK
+    if f0 is not None:
+        if not f0 > 0.0:
+            raise ValueError(f"scan must start strictly positive, got f0 = {f0!r}")
+        # b = ceil(f0 / window) is the first grid index at or past f0 / L;
+        # k = ceil(clear / step) - 1 = b - 2, and s = k - 1.
+        b = min(np.ceil(f0 / window) if window > 0.0 else np.inf, n + 4.0)
+        s = int(max(b - 3.0, 0.0))
+        first = min(max(int(2.0 * b) - s, _FIRST_BLOCK), _MAX_BLOCK)
+
+    def abscissae(lo: int, hi: int) -> np.ndarray:
+        ts = np.arange(lo, hi, dtype=float) * step
+        if hi > n:
             ts[-1] = t_end
+        return ts
+
+    tail = np.empty(0)  # last two samples of the previous block
+    low = None
+    for start, stop in _blocks(s, n + 1, first):
+        ts = abscissae(start - tail.size, stop)  # abscissae of tail and block
         new = np.asarray(f_batch(ts[tail.size:]), dtype=float)
         if start == 0 and new[0] <= 0.0:
             raise ValueError("scan must start at a strictly positive sample")
@@ -221,15 +275,20 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
             t, v = bisect_root(_scalar(f_batch), float(ts[cross - 1]), float(ts[cross]),
                                float(fs[cross - 1]), float(fs[cross]), xtol, ftol)
             return RootHit(t, v, "crossing")
-        m = int(new.argmin())
-        if start == 0 or new[m] < low_f:
-            low_t, low_f = ts[tail.size + m], new[m]
+        low = _lower(low, ts[tail.size:], new)
         tail = fs[-2:]
-        start, size = stop, min(2 * size, _MAX_BLOCK)
     # One-sided candidate at the horizon endpoint (tangency at the boundary);
-    # every sample is positive here.
-    if tail[-1] <= window and tail[-1] <= tail[-2]:
+    # every sample is positive here.  With s >= n the endpoint is certified.
+    if tail.size == 2 and tail[-1] <= window and tail[-1] <= tail[-2]:
         hit = _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, lipschitz)
         if hit is not None:
             return hit
-    return RootHit(float(low_t), float(low_f), "none")
+    # No root: the skipped prefix, earlier than every scanned sample, may
+    # still hold the smallest one.
+    prefix = None
+    for lo, hi in _blocks(0, s, first):
+        ts = abscissae(lo, hi)
+        prefix = _lower(prefix, ts, np.asarray(f_batch(ts), dtype=float))
+    if prefix is not None and (low is None or not low[1] < prefix[1]):
+        low = prefix
+    return RootHit(float(low[0]), float(low[1]), "none")

@@ -172,11 +172,9 @@ class _EvolutionPair:
 
     def checked_time(self, t, name: str) -> float:
         """``t`` as a finite float whose phase bound t (max|lam| + max|mu|) is finite."""
-        t = linalg._finite(t, name)
         scale = float(np.abs(self.lam).max() + np.abs(self.mu).max())
-        if not np.isfinite(t * scale):  # e^{-i lam t} would be NaN
-            raise ValueError(f"{name} * (max|lam| + max|mu|) ({t!r} * {scale!r}) is not finite")
-        return t
+        return linalg._finite_phase(linalg._finite(t, name), scale,
+                                    f"{name} * (max|lam| + max|mu|)")
 
     def unitary(self, t: float) -> np.ndarray:
         """U(t) = exp(i hb t) exp(-i ha t)."""
@@ -228,7 +226,11 @@ def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     the scan stops at the first root, so memory is bounded by one block.  The
     step is t_max / ``SCAN_POINTS``, at most pi/(2L) for the margin's Lipschitz
     constant L = 2 (wa + wb); t_max defaults to ``HORIZON_SPANS`` span lower
-    bounds pi/L, and a crossing is refined to ``REFINE_REL_TOL`` * t_max.  A
+    bounds pi/L, and a crossing is refined to ``REFINE_REL_TOL`` * t_max.
+    The margin starts at pi (the d = 2 margin at 2) and moves at most L per
+    unit time, so it stays positive before pi/L (2/L): the scan starts next
+    to that time, with a first block reaching to twice it, and samples the
+    skipped prefix only to report the infimum of a rootless scan.  A
     given t_max is checked positive and, like alpha, t_max (max|lam| +
     max|mu|) and the grid count, finite.  A ``ScanContinuityWarning`` flags
     samples that break the Lipschitz bound.
@@ -252,8 +254,11 @@ def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     if not np.isfinite(n):
         raise ValueError(f"t_max ({t_max!r}) gives no finite scan grid count")
 
-    f_batch = pair_data.trace_margin if pair_data.dim == 2 else pair_data.gap_margin
-    hit = first_root(f_batch, t_max, int(n), pair_data.lipschitz, REFINE_REL_TOL * t_max, GAP_FTOL)
+    # Each margin's value at t = 0, where U = I: the weights sum to 2, the empty arc is 2 pi.
+    f_batch, f0 = ((pair_data.trace_margin, 2.0) if pair_data.dim == 2
+                   else (pair_data.gap_margin, np.pi))
+    hit = first_root(f_batch, t_max, int(n), pair_data.lipschitz, REFINE_REL_TOL * t_max, GAP_FTOL,
+                     f0=f0)
     if hit.kind == "none":
         # All samples are positive, where the trace-to-gap map increases.
         g = pair_data.gap_margin_from_trace(hit.value) if pair_data.dim == 2 else hit.value

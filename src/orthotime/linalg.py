@@ -82,6 +82,15 @@ def _finite(value, name: str) -> float:
     return value
 
 
+def _finite_phase(t: float, scale: float, what: str) -> float:
+    """``t``, after a ValueError unless its phase bound t * ``scale`` is
+    finite; ``what`` spells the product.  A phase that overflows would make
+    e^{-i x t} NaN."""
+    if not np.isfinite(t * scale):
+        raise ValueError(f"{what} ({t!r} * {scale!r}) is not finite")
+    return t
+
+
 def _finite_positive(value, name: str) -> float:
     """``value`` as a float; raises ValueError naming the argument unless it
     is finite and positive."""
@@ -216,9 +225,11 @@ def expm_i(h, t: float) -> np.ndarray:
 
     The spectral route is exact up to eigensolver error and unitary by
     construction, which is why it is preferred over a series or Pade form.
+    ``t`` and t max|h| are checked finite.
     """
     t = _finite(t, "t")
     values, vectors = herm_eig(h)
+    _finite_phase(t, float(np.abs(values).max()), "t * max|h|")
     return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
 
 

@@ -135,7 +135,12 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     evaluated lazily in growing blocks and the scan stops at the first root,
     with the same result as scanning every grid point (see
     ``_scan.first_root``); no grid is materialized, so memory is bounded by
-    one block.  A non-finite argument or frequency sum raises ValueError.
+    one block.  The criterion starts at 1 with slope at most
+    L = cos^2(gamma/2) |wa - wb| + sin^2(gamma/2) (wa + wb), so it stays
+    positive before 1/L: the scan starts next to that time, with a first
+    block reaching to twice it.  A non-finite argument or frequency sum
+    raises ValueError, and so does an infinite horizon (a subnormal
+    frequency scale), whose grid count would not be finite.
     """
     gamma = linalg._finite(gamma, "gamma")
     omega_a = linalg._finite(omega_a, "omega_a")
@@ -155,6 +160,8 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
         horizon = np.pi / abs(omega_a - omega_b)
     else:
         horizon = np.pi / total
+    if not np.isfinite(horizon):  # a subnormal frequency scale
+        raise ValueError(f"horizon ({horizon!r}) gives no finite scan grid count")
     # Densify beyond SCAN_POINTS so the fast beat stays resolved on long
     # horizons.  The cap bounds the criterion evaluations of a rootless scan
     # (memory is bounded by the scan's block); past it the fast beat is
@@ -165,7 +172,8 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
         return criterion(gamma, omega_a, omega_b, tt)
 
     lip = a * abs(omega_a - omega_b) + b * total
-    hit = first_root(f_batch, horizon, n, max(lip, 1e-300), REFINE_REL_TOL * horizon, REFINE_FTOL)
+    hit = first_root(f_batch, horizon, n, max(lip, 1e-300), REFINE_REL_TOL * horizon, REFINE_FTOL,
+                     f0=1.0)
     return float(hit.t) if hit.kind != "none" else None
 
 
@@ -201,9 +209,11 @@ def discrimination_state(field_a: QubitField, field_b: QubitField, t: float,
     R_a(-theta_a) R_b(theta_b) with theta = 2 omega t; an equatorial state
     about that product's rotation axis leaves only its scalar part, which is
     the criterion.  Note the ordering: the reversed product shares the angle
-    (and hence the root) but not the axis.
+    (and hence the root) but not the axis.  ``t`` and the rotation angles
+    2 omega t are checked finite.
     """
-    t = linalg._finite(t, "t")
+    t = linalg._finite_phase(linalg._finite(t, "t"), 2.0 * max(field_a.omega, field_b.omega),
+                             "t * 2 max(omega_a, omega_b)")
     comp = compose_rotations(-2.0 * field_b.omega * t, field_b.axis,
                              -2.0 * field_a.omega * t, field_a.axis)
     return equatorial_state(comp.axis, alpha)

@@ -209,6 +209,13 @@ class TestNonFiniteInput:
         assert code == 1 and out == ""
         assert err.startswith("error:") and field in err
 
+    def test_subnormal_frequency_scale(self, capsys):
+        # The rows' frequency difference is at most 5e-324, so the qubit
+        # horizon pi / |omega_a - omega_b| overflows.
+        code, out, err = run_cli(["fig1", "--omega-sum", "1e-323"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: horizon (inf) gives no finite scan grid count\n"
+
 
 class TestBoundsCommand:
     def test_report_contains_bounds(self, tmp_path, capsys):

@@ -493,3 +493,68 @@ def test_find_t_perp_diagonalizes_each_hamiltonian_once(monkeypatch, dim):
     out = find_t_perp(*_metamorphic_pair(dim))
     assert isinstance(out, DiscriminationResult)
     assert len(calls) == 2
+
+
+def _gap_scan_pairs(seed=1, dim=8, cases=16):
+    """The Hermitian pairs the gap_scan benchmark draws for ``seed``."""
+    rng = np.random.default_rng([seed, 1])
+
+    def hermitian():
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return 0.5 * (g + g.conj().T)
+
+    return [(hermitian(), hermitian()) for _ in range(cases)]
+
+
+def _certified_start(f0, lipschitz, step):
+    """s = max(k - 1, 0) for k = ceil(clear / step) - 1, clear = (f0 - L step) / L."""
+    clear = (f0 - lipschitz * step) / lipschitz
+    return max(int(np.ceil(clear / step)) - 2, 0)
+
+
+class TestCertifiedStart:
+    """Both engines start their scans where the slope bound L and the curve's
+    value at t = 0 leave room for a root, and sample nothing before that
+    unless the scan finds no root."""
+
+    @pytest.mark.parametrize("case", range(16))
+    def test_gap_scan_pairs_need_few_margin_points(self, monkeypatch, case):
+        # Each root lies within twice the span bound pi / L, so one grid block
+        # (the 23 or 24 points from just before the bound to twice it) and
+        # about 4 refinement points suffice.
+        points = []
+        margin = discriminate._EvolutionPair.gap_margin
+        monkeypatch.setattr(discriminate._EvolutionPair, "gap_margin",
+                            lambda self, ts: points.append(np.size(ts)) or margin(self, ts))
+        out = find_t_perp(*_gap_scan_pairs()[case])
+        assert isinstance(out, DiscriminationResult)
+        assert sum(points) <= 40
+
+    def test_trace_margin_skips_the_certified_prefix(self, monkeypatch):
+        ts_seen = []
+        margin = discriminate._EvolutionPair.trace_margin
+        monkeypatch.setattr(discriminate._EvolutionPair, "trace_margin",
+                            lambda self, ts: ts_seen.append(np.ravel(ts)) or margin(self, ts))
+        ha, hb = _offset_qubit_pair(1.0, 0.5)[2:]
+        out = find_t_perp(ha, hb)
+        assert isinstance(out, DiscriminationResult)
+        lipschitz = discriminate._EvolutionPair(ha, hb).lipschitz
+        step = discriminate.HORIZON_SPANS * np.pi / lipschitz / discriminate.SCAN_POINTS
+        s = _certified_start(2.0, lipschitz, step)
+        assert s > 0
+        assert np.concatenate(ts_seen).min() == s * step
+
+    @pytest.mark.parametrize("row", [(1.0, 3.0, 1.0), (0.5, 2.0, 1.0), (2.0, 1.0, 1.5)])
+    def test_qubit_t_perp_skips_the_certified_prefix(self, monkeypatch, row):
+        ts_seen = []
+        criterion = qubit.criterion
+        monkeypatch.setattr(qubit, "criterion",
+                            lambda *args: ts_seen.append(np.ravel(args[-1])) or criterion(*args))
+        gamma, wa, wb = row
+        assert qubit.qubit_t_perp(gamma, wa, wb) is not None
+        # Every row has 2000 intervals over its horizon.
+        step = qubit_horizon(gamma, wa, wb) / qubit.SCAN_POINTS
+        a, b = np.cos(0.5 * gamma) ** 2, np.sin(0.5 * gamma) ** 2
+        s = _certified_start(1.0, a * abs(wa - wb) + b * (wa + wb), step)
+        assert s > 0
+        assert np.concatenate(ts_seen).min() == s * step

@@ -218,6 +218,13 @@ class TestExpmI:
             u = linalg.expm_i(random_hermitian(rng, 6, radius=5.0), rng.uniform(0, 10))
             assert np.linalg.norm(u.conj().T @ u - np.eye(6)) <= 1e-10
 
+    def test_phase_overflow_is_named(self):
+        # 10 * 1e308 overflows, so e^{-i h t} would be NaN.
+        with pytest.raises(ValueError, match=r"^t \* max\|h\| \(1e\+308 \* 10\.0\) is not finite$"):
+            linalg.expm_i(10.0 * SZ, 1e308)
+        u = linalg.expm_i(10.0 * SZ, 1e307)  # the phase 1e308 is still finite
+        assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-12
+
 
 class TestPrincipalLog:
     def test_identity_gives_zero(self):

@@ -184,6 +184,13 @@ class TestQubitTPerp:
             qubit.qubit_t_perp(*args)
 
 
+    @pytest.mark.parametrize("gamma", [0.3, 2.0])
+    def test_subnormal_frequency_scale_is_named(self, gamma):
+        # pi / 5e-324 overflows: the horizon (and so the grid count) is infinite.
+        with pytest.raises(ValueError, match=r"^horizon \(inf\) gives no finite scan grid count$"):
+            qubit.qubit_t_perp(gamma, 5e-324, 0.0)
+
+
 class TestMeanEnergyBar:
     @pytest.mark.parametrize("wa,wb,cg,expected", [
         (3.0, 1.0, 1.0, 2.0),
@@ -258,3 +265,10 @@ class TestDiscriminationState:
             psi = qubit.discrimination_state(fa, fb, t)
             value = bracket(psi, qubit.qubit_hamiltonian(fa), qubit.qubit_hamiltonian(fb), t)
             assert abs(value) <= 1e-8
+
+    def test_phase_overflow_is_named(self):
+        # The rotation angle 2 omega t overflows at t = 1e308.
+        fa, fb = qubit.QubitField(1.0, [0.0, 0.0, 1.0]), qubit.QubitField(1.0, [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"^t \* 2 max\(omega_a, omega_b\) \(1e\+308 \* 2\.0\)"):
+            qubit.discrimination_state(fa, fb, 1e308)
+        assert np.all(np.isfinite(qubit.discrimination_state(fa, fb, 1e307)))

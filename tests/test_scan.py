@@ -4,17 +4,22 @@ its early stop inside both engines, and the crossing refiner
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from orthotime import _scan, discriminate, qubit
 from orthotime._scan import RootHit, _scalar, _touch_hunt, bisect_root, first_root
 from helpers import random_hermitian
 
-N = 400  # blocks of the lazy scan: [0, 64), [64, 192), [192, 448)
+B = _scan._FIRST_BLOCK
+N = 400  # blocks of a lazy scan from index 0: [0, B), [B, 3B), [3B, 7B), ...
 STEP = 1.0 / (N - 1)
 LIP = 10.0
 WINDOW = LIP * STEP
-EDGES = (63, 64, 65, 191, 192)
+# Grid indices inside blocks (the edges of a 64-point first block), then on
+# both sides of the first two block edges of a scan from index 0.
+EDGES = (63, 64, 65, 191, 192) + (B - 1, B, B + 1, 3 * B - 1, 3 * B)
 XTOL, FTOL = 1e-12, 1e-11
 
 
@@ -114,7 +119,7 @@ CURVES = (
     + [pytest.param(dip_at(i, 0.5 * WINDOW, then_cross=0.9), id=f"near-miss-then-crossing-{i}")
        for i in EDGES]
     + [pytest.param(crossing_then_touch(i, gap), id=f"crossing-{i}-then-touch-{i + gap}")
-       for i, gap in ((50, 10), (100, 10), (181, 10), (189, 3))]
+       for i, gap in ((50, 10), (100, 10), (181, 10), (189, 3), (3 * B - 11, 10), (3 * B - 3, 3))]
     + [pytest.param(plateau_at(i, rising), id=f"plateau-{'rising' if rising else 'falling'}-{i}")
        for i in EDGES for rising in (True, False)]
     + [
@@ -126,6 +131,8 @@ CURVES = (
         pytest.param(with_subgrid_dip(np.linspace(0.5e-3, 2e-3, N), N - 2), id="endpoint-rising"),
         pytest.param(with_subgrid_dip(2 * WINDOW + np.abs(grid() - grid()[64]), 64),
                      id="hidden-dip-64"),
+        pytest.param(with_subgrid_dip(2 * WINDOW + np.abs(grid() - grid()[B]), B),
+                     id=f"hidden-dip-{B}"),
         pytest.param(lambda t: 2.0 + np.sin(25.0 * np.asarray(t)), id="no-root"),
         pytest.param(dip_at(300, 0.5 * WINDOW), id="near-miss-no-root"),
     ]
@@ -148,7 +155,8 @@ def test_block_edge_roots_are_found(f, kind):
     assert hit.kind == kind
 
 
-@pytest.mark.parametrize("n", [2, 3, 20, 63])
+# Grids of n points; B - 1 points always fit the first block.
+@pytest.mark.parametrize("n", [2, 3, 20, 63, B - 1])
 @pytest.mark.parametrize("has_root", [True, False])
 def test_grid_shorter_than_first_block(n, has_root):
     f = crossing_at(n - 1, n) if has_root else (lambda t: 1.0 + np.asarray(t))
@@ -158,9 +166,14 @@ def test_grid_shorter_than_first_block(n, has_root):
 
 
 def test_block_cap_is_respected():
-    n = 200_000  # the schedule reaches its cap of 65536 at index 65472
+    n = 200_000
     ts = grid(n)
-    for i in (131007, 131008, 131009, 196544):
+    edge, size = 0, B  # the schedule reaches its cap at grid index edge
+    while size < _scan._MAX_BLOCK:
+        edge, size = edge + size, 2 * size
+    cap1, cap2 = edge + _scan._MAX_BLOCK, edge + 2 * _scan._MAX_BLOCK
+    assert cap2 < n
+    for i in (cap1 - 1, cap1, cap1 + 1, cap2):
         f = crossing_at(i, n)
         sizes = []
 
@@ -173,7 +186,7 @@ def test_block_cap_is_respected():
 
 
 # (t_end / n) * n is not t_end for (0.1, 200000), (7.965, 63) and (7.299, 65).
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 200_000])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200_000, B - 1, B, B + 1])
 @pytest.mark.parametrize("t_end", [1.0, 0.1, 7.965, 7.299, np.pi * 1e7])
 def test_abscissae_are_the_linspace_grid(n, t_end):
     blocks = []
@@ -231,9 +244,9 @@ class _Counter:
         self.grid_points = 0
 
     def capture_grid(self, scan):
-        def wrapped(f_batch, t_end, n, *args):
+        def wrapped(f_batch, t_end, n, *args, **kwargs):
             self.grid = np.linspace(0.0, t_end, n + 1)
-            return scan(f_batch, t_end, n, *args)
+            return scan(f_batch, t_end, n, *args, **kwargs)
         return wrapped
 
     def count(self, t):
@@ -279,6 +292,178 @@ def test_qubit_t_perp_stops_at_first_root(monkeypatch):
     t = qubit.qubit_t_perp(np.pi / 2 - 0.001, 1.0, 1.05)
     assert t is not None
     counter.assert_stopped_early(t)
+
+
+# ---------------------------------------------------------------------------
+# Certified start: f >= f0 - L t clears a prefix of the grid
+# ---------------------------------------------------------------------------
+
+def f0_for_start(s, n=N - 1, lipschitz=LIP, t_end=1.0):
+    """A start value f0 for which the scan, on n intervals over [0, t_end]
+    with slope bound ``lipschitz``, starts at grid index s: f0 / window lies
+    half-way between s + 2 and s + 3, so ceil(clear / step) - 1 = s + 1."""
+    return (s + 2.5) * lipschitz * (t_end / n)
+
+
+class _Recorder:
+    """Wraps a curve and keeps every abscissa and batch size it is given."""
+
+    def __init__(self, f):
+        self.f = f
+        self.ts = []
+        self.sizes = []
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        self.ts.append(t.ravel().copy())
+        self.sizes.append(t.size)
+        return self.f(t)
+
+    def points(self):
+        return np.concatenate(self.ts)
+
+
+def scan_both(f, lipschitz, f0, n=N - 1, t_end=1.0):
+    """(first_root given f0, the full-grid walk, the points the scan evaluated)."""
+    rec = _Recorder(f)
+    hit = first_root(rec, t_end, n, lipschitz, XTOL, FTOL, f0=f0)
+    ref = full_grid_first_root(f, np.linspace(0.0, t_end, n + 1), lipschitz)
+    return hit, ref, rec
+
+
+@settings(max_examples=300, deadline=None)
+@given(amps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+       freqs=st.lists(st.floats(0.5, 20.0), min_size=3, max_size=3),
+       phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=3, max_size=3),
+       offset=st.one_of(st.floats(-0.5, 2.0), st.none()), slack=st.floats(1.0, 2.0),
+       n=st.integers(20, 800), t_end=st.floats(0.1, 10.0))
+def test_certified_start_matches_full_grid_scan(amps, freqs, phases, offset, slack, n, t_end):
+    """A sum of sinusoids with its slope bound (times a slack >= 1), scanned
+    from its exact start value: the same RootHit as the full-grid walk.  A
+    None offset lifts the curve's sampled minimum (21 samples per grid step)
+    to 1e-10, so it dips to about zero: a touch or a shallow crossing."""
+    terms = list(zip(amps, freqs, phases))
+
+    def wave(t):
+        t = np.asarray(t, dtype=float)
+        return sum(a * np.cos(w * t + ph) for a, w, ph in terms)
+
+    if offset is None:
+        offset = 1e-10 - wave(np.linspace(0.0, t_end, 20 * n + 1)).min()
+    f = lambda t: offset + wave(t)  # noqa: E731
+    f0 = float(f(np.zeros(1))[0])
+    assume(f0 > 0.0)
+    lipschitz = slack * sum(a * w for a, w, _ in terms)
+    hit, ref, _ = scan_both(f, lipschitz, f0, n, t_end)
+    assert hit == ref
+
+
+S = 40  # certified start of the fixed cases below: the scan skips the indices below S
+
+
+def test_root_at_the_first_uncertified_index():
+    # Samples f0 up to index S, then -1 from S + 1 = k, the first index the
+    # bound does not clear: the scan's first block starts at S, the crossing's
+    # left neighbour.
+    f0 = f0_for_start(S)
+    vals = np.where(np.arange(N) <= S, f0, -1.0)
+    hit, ref, rec = scan_both(lambda t: np.interp(t, grid(), vals), LIP, f0)
+    assert hit == ref and hit.kind == "crossing"
+    assert grid()[S] <= hit.t <= grid()[S + 1]
+    assert rec.points().min() == grid()[S]
+
+
+@pytest.mark.parametrize("shape", ["line", "vee"])
+def test_earliest_root_the_slope_bound_allows(shape):
+    # Falling at exactly the bound from f0 reaches zero at f0 / L, 2.5 steps
+    # past the start: a crossing (line), or a touch 1e-10 above zero (vee,
+    # which turns back up there).
+    f0 = f0_for_start(S)
+
+    def f(t):
+        drop = f0 - LIP * np.asarray(t, dtype=float)
+        return drop if shape == "line" else np.abs(drop) + 1e-10
+
+    hit, ref, rec = scan_both(f, LIP, f0)
+    assert hit == ref and hit.kind == ("crossing" if shape == "line" else "touch")
+    assert hit.t == pytest.approx(f0 / LIP, abs=1e-9)
+    assert rec.points().min() == grid()[S]  # nothing below the start is evaluated
+
+
+@pytest.mark.parametrize("c, w, kind", [(2.0, 3.0, "none"), (0.5, 3.0, "crossing"),
+                                         (1.0 + 1e-10, np.pi, "touch")])
+def test_certified_prefix_is_evaluated_only_without_a_root(c, w, kind):
+    # c + cos(w t) on [0, 1], with slope bound w: no root, a crossing at
+    # 2 pi / 9, a touch at the horizon end.
+    f = lambda t: c + np.cos(w * np.asarray(t))  # noqa: E731
+    f0 = c + 1.0
+    hit, ref, rec = scan_both(f, w, f0)
+    assert hit == ref and hit.kind == kind
+    start = grid()[int(np.ceil(f0 / (w * STEP))) - 3]
+    assert start > 0.0
+    if kind == "none":
+        # Every grid point is sampled once, the prefix after the rest.
+        assert np.sort(rec.points()).tobytes() == grid().tobytes()
+    else:
+        assert rec.points().min() == start
+
+
+def test_rootless_minimum_in_the_skipped_prefix():
+    # 3 + cos(5 t) on [0, 1]: the bound clears t < 4/5 - 2 steps, and the
+    # minimum 2 at t = pi/5 lies there.
+    f = lambda t: 3.0 + np.cos(5.0 * np.asarray(t))  # noqa: E731
+    hit, ref, _ = scan_both(f, 5.0, 4.0)
+    assert hit == ref and hit.kind == "none"
+    assert hit.t == grid()[int(np.argmin(f(grid())))] < 0.7
+
+
+def test_rootless_tie_goes_to_the_earlier_prefix_sample():
+    # Equal lowest samples at index 10 (skipped) and index 300 (scanned).
+    vals = np.full(N, 2.0)
+    vals[[10, 300]] = 1.5
+    hit, ref, _ = scan_both(lambda t: np.interp(t, grid(), vals), LIP, f0_for_start(S))
+    assert hit == ref == RootHit(float(grid()[10]), 1.5, "none")
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, 5])
+def test_prefix_covering_the_whole_grid(offset):
+    # f0 - L t, rootless on [0, 1]; the start s = n + offset reaches the end
+    # of the grid: at n - 2 the endpoint, half a window above zero and
+    # falling, is hunted; at n - 1 two points are scanned, at n one, beyond
+    # none.  Every grid point is sampled, the skipped ones last.
+    n = 11
+    f0 = f0_for_start(n + offset, n=n)
+    f = lambda t: f0 - LIP * np.asarray(t, dtype=float)  # noqa: E731
+    hit, ref, rec = scan_both(f, LIP, f0, n=n)
+    assert hit == ref == RootHit(1.0, float(f(1.0)), "none")
+    assert np.isin(np.linspace(0.0, 1.0, n + 1), rec.points()).all()
+
+
+def test_rootless_prefix_longer_than_the_block_cap():
+    # A slow two-beat curve 0.9 cos(1e-3 t) + 0.1 cos(2 t) >= 0.8 on [0, 8],
+    # with slope bound 0.9e-3 + 0.2: the certified prefix of the 200000-interval
+    # grid is 124438 points, and the scan finds no root.
+    n, t_end, weights, beats = 200_000, 8.0, (0.9, 0.1), (1e-3, 2.0)
+    lipschitz = weights[0] * beats[0] + weights[1] * beats[1]
+
+    def f(t):
+        return qubit._two_beats(weights, beats, np.asarray(t, dtype=float))
+
+    hit, ref, rec = scan_both(f, lipschitz, 1.0, n=n, t_end=t_end)
+    assert hit == ref and hit.kind == "none"
+    assert max(rec.sizes) <= _scan._MAX_BLOCK
+    prefix = int(np.ceil(1.0 / (lipschitz * t_end / n))) - 3
+    assert _scan._MAX_BLOCK < prefix < n
+    assert rec.points().size == n + 1
+
+
+def test_nonpositive_start_value_raises():
+    calls = []
+    for f0 in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="scan must start strictly positive"):
+            first_root(lambda t: calls.append(t) or np.ones(np.size(t)), 1.0, 10, LIP, XTOL,
+                       FTOL, f0=f0)
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
