@@ -21,7 +21,6 @@ from .bounds import (
 from .discriminate import (
     DiscriminationResult,
     NoOrthogonality,
-    ScanContinuityWarning,
     find_t_perp,
 )
 from .qubit import qubit_t_perp
@@ -33,7 +32,6 @@ __all__ = [
     "find_t_perp",
     "DiscriminationResult",
     "NoOrthogonality",
-    "ScanContinuityWarning",
     "qubit_t_perp",
     "bounds_report",
     "BoundsReport",

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SCAN_POINTS = 2000  # least grid intervals over a horizon, in both engines
 # Block schedule of the lazy scan: the first block holds ``_FIRST_BLOCK``
 # points when nothing is certified, and otherwise at least as many, reaching
 # to twice the certified bound, because roots often sit early in the horizon;
@@ -173,8 +174,8 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschi
 def _touch_candidates(fs, window: float) -> np.ndarray:
     """Indices j, 1 <= j <= fs.size - 2, of local minima fs[j] <= ``window``.
 
-    ``fs`` holds only samples before the first nonpositive one, so every
-    candidate and both its neighbours are positive (NaN is never one)."""
+    ``fs`` holds only samples before the first nonpositive one (and perhaps a
+    +inf sentinel), so every candidate and both neighbours are positive."""
     left, mid, right = fs[:-2], fs[1:-1], fs[2:]
     return np.flatnonzero((mid <= window) & (left >= mid) & (mid <= right)) + 1
 
@@ -208,8 +209,9 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
     stops at the first root.  Positive local minima within the window
     ``lipschitz * t_end / n`` of zero (none when ``lipschitz`` is 0) are
     inspected as potential sub-grid touches, in grid order and before a
-    later sign change; so is a horizon-endpoint sample within that window
-    that is still falling, as a one-sided touch.  Returns a RootHit of kind
+    later sign change; the horizon endpoint, given a sentinel right neighbour
+    (``t_end``, +inf), is one more, with the one-sided bracket [t_{n-1},
+    ``t_end``].  Returns a RootHit of kind
     "crossing" or "touch"; with no root, of kind "none", holding the
     smallest sample and the first grid time where it occurs.
 
@@ -265,6 +267,8 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
         if start == 0 and new[0] <= 0.0:
             raise ValueError("scan must start at a strictly positive sample")
         fs = np.concatenate((tail, new))
+        if stop > n:  # a sentinel right neighbour makes the endpoint a local-minimum candidate
+            ts, fs = np.append(ts, t_end), np.append(fs, np.inf)
         neg = np.flatnonzero(new <= 0.0)
         cross = tail.size + int(neg[0]) if neg.size else fs.size
         for j in _touch_candidates(fs[:cross], window):
@@ -277,12 +281,6 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
             return RootHit(t, v, "crossing")
         low = _lower(low, ts[tail.size:], new)
         tail = fs[-2:]
-    # One-sided candidate at the horizon endpoint (tangency at the boundary);
-    # every sample is positive here.  With s >= n the endpoint is certified.
-    if tail.size == 2 and tail[-1] <= window and tail[-1] <= tail[-2]:
-        hit = _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, lipschitz)
-        if hit is not None:
-            return hit
     # No root: the skipped prefix, earlier than every scanned sample, may
     # still hold the smallest one.
     prefix = None

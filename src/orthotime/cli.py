@@ -98,8 +98,7 @@ def fig1_rows(r_min: float, r_max: float, n_points: int,
     """Sweep of the relative frequency difference r at perfect alignment."""
     if not 0.0 < r_min <= r_max < 1.0:
         raise ValueError("need 0 < r_min <= r_max < 1")
-    if n_points < 1:
-        raise ValueError("need at least one sweep point")
+    n_points = linalg._count(n_points, "n_points")
     omega_sum = linalg._finite_positive(omega_sum, "omega_sum")
     rows = []
     for r in np.linspace(r_min, r_max, n_points):
@@ -114,8 +113,7 @@ def fig2_rows(gamma_min: float, gamma_max: float, n_points: int,
     """Sweep of the alignment angle gamma at fixed frequency ratio."""
     if not 0.0 <= gamma_min <= gamma_max <= np.pi:
         raise ValueError("need 0 <= gamma_min <= gamma_max <= pi")
-    if n_points < 1:
-        raise ValueError("need at least one sweep point")
+    n_points = linalg._count(n_points, "n_points")
     omega_ratio = linalg._finite_positive(omega_ratio, "omega_ratio")
     omega_sum = linalg._finite_positive(omega_sum, "omega_sum")
     omega_a = omega_sum * omega_ratio / (1.0 + omega_ratio)
@@ -210,9 +208,7 @@ def load_problem(path: str) -> Problem:
         for key in ("dim", "H_a", "H_b"):
             if key not in data:
                 raise ValueError(f"{key} is required in the matrix form")
-        dim = data["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise ValueError("dim must be a positive integer")
+        dim = linalg._count(data["dim"], "dim")
         ha = _parse_matrix(data["H_a"], dim, "H_a")
         hb = _parse_matrix(data["H_b"], dim, "H_b")
 
@@ -228,10 +224,8 @@ def _parse_qubit(q) -> tuple[np.ndarray, np.ndarray, float]:
     for key in ("omega_a", "omega_b"):
         if key not in q:
             raise ValueError(f"qubit.{key} is required")
-    omega_a = _as_number(q["omega_a"], "qubit.omega_a")
-    omega_b = _as_number(q["omega_b"], "qubit.omega_b")
-    if omega_a < 0 or omega_b < 0:
-        raise ValueError("qubit frequencies must be nonnegative")
+    omega_a, omega_b = (linalg._finite_nonnegative(_as_number(q[k], f"qubit.{k}"), f"qubit.{k}")
+                        for k in ("omega_a", "omega_b"))
     has_gamma = "gamma" in q
     has_axes = "axis_a" in q or "axis_b" in q
     if has_gamma == has_axes:

@@ -24,29 +24,19 @@ vanishes transversally exactly at the antipodal instants.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, qubit
-from ._scan import first_root
+from ._scan import SCAN_POINTS, first_root
+from .errors import ConvergenceError
 
 GAP_FTOL = 1e-11
 HORIZON_SPANS = 100  # default t_max, in span lower bounds pi/L
-SCAN_POINTS = 2000  # least grid intervals over t_max; the step is also at most pi/(2L)
 REFINE_REL_TOL = 1e-10  # crossing-time tolerance, relative to t_max
 LIPSCHITZ_SLACK = 1e-6  # relative slack on L in the continuity check of a margin batch
 LIPSCHITZ_ATOL = 1e-9  # and its absolute allowance for roundoff
-
-
-class ScanContinuityWarning(RuntimeWarning):
-    """Adjacent margin samples jumped by more than the Lipschitz bound allows.
-
-    Each batch of two or more samples the scan evaluates (a grid block or a
-    touch-hunt subsample) is checked against L times its own spacing; the
-    pair of samples across a block boundary is not.
-    """
 
 
 @dataclass(frozen=True)
@@ -99,15 +89,17 @@ def phase_spectrum(ha, hb, t: float) -> PhaseSpectrum:
 def max_circular_gap(phases) -> tuple[float, tuple[int, int]]:
     """Largest empty arc between circularly adjacent phase points.
 
-    ``phases`` must be ascending in (-pi, pi].  Returns (gap, (i, j)) where
-    i, j index the two phases bounding the arc.  A single point, or a fully
-    coincident set, has gap 2*pi.  Zero lies in the convex hull of the points
-    e^{i phase} exactly when the gap is <= pi.
+    ``phases`` must be ascending in (-pi, pi], NaN rejected.  Returns (gap,
+    (i, j)) where i, j index the two phases bounding the arc.  A single
+    point, or a fully coincident set, has gap 2*pi.  Zero lies in the convex
+    hull of the points e^{i phase} exactly when the gap is <= pi.
     """
     ph = np.asarray(phases, dtype=float).reshape(1, -1)
     d = ph.size
     if d == 0:
         raise ValueError("need at least one phase")
+    if not np.all((ph > -np.pi) & (ph <= np.pi)):  # NaN fails too
+        raise ValueError("phases must lie in (-pi, pi]")
     if np.any(np.diff(ph) < 0):
         raise ValueError("phases must be sorted ascending")
     (gap,), (k,) = linalg._largest_arc(ph)
@@ -191,13 +183,18 @@ class _EvolutionPair:
         return phases
 
     def _checked(self, ts, values) -> np.ndarray:
-        """``values``, after a ``ScanContinuityWarning`` if two adjacent
-        samples of the batch differ by more than L times their spacing."""
+        """``values``, unless two adjacent samples of the batch (a grid block or
+        a touch-hunt subsample) differ by more than L times their spacing:
+        then ``ConvergenceError`` names the largest such jump ratio."""
         if values.size > 1:
             excess = np.abs(np.diff(values)) - (1 + LIPSCHITZ_SLACK) * self.lipschitz * np.diff(ts)
             if excess.max() > LIPSCHITZ_ATOL:
-                warnings.warn(f"scan jump exceeds the Lipschitz bound by {excess.max():.3e}; "
-                              "samples may be corrupted", ScanContinuityWarning, stacklevel=3)
+                broken = excess > LIPSCHITZ_ATOL
+                with np.errstate(divide="ignore"):  # a zero spacing gives an infinite ratio
+                    ratio = np.max(np.abs(np.diff(values)[broken])
+                                   / (self.lipschitz * np.diff(ts)[broken]))
+                raise ConvergenceError(f"scan jump ratio {ratio:.3e} exceeds the Lipschitz "
+                                       "bound; the margin samples are corrupted")
         return values
 
     def gap_margin(self, ts) -> np.ndarray:
@@ -232,8 +229,8 @@ def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     to that time, with a first block reaching to twice it, and samples the
     skipped prefix only to report the infimum of a rootless scan.  A
     given t_max is checked positive and, like alpha, t_max (max|lam| +
-    max|mu|) and the grid count, finite.  A ``ScanContinuityWarning`` flags
-    samples that break the Lipschitz bound.
+    max|mu|) and the grid count, finite.  Margin samples that break the
+    Lipschitz bound raise ``ConvergenceError`` with their jump ratio.
 
     Returns a ``DiscriminationResult`` on success.  Returns a
     ``NoOrthogonality`` report when g never reaches zero on the horizon; the

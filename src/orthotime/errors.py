@@ -10,7 +10,7 @@ class NonUnitaryError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative eigensolver failed or a decomposition did not verify."""
+    """A solver failed, a decomposition did not verify, or scan samples broke their bound."""
 
 
 class CutProximityError(ValueError):

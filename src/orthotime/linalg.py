@@ -100,6 +100,23 @@ def _finite_positive(value, name: str) -> float:
     return value
 
 
+def _finite_nonnegative(value, name: str) -> float:
+    """``value`` as a float; raises ValueError naming the argument unless it
+    is finite and nonnegative."""
+    value = _finite(value, name)
+    if value < 0.0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
+
+
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int; raises ValueError naming the argument unless it
+    is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
+    return int(value)
+
+
 def as_unit_state(psi, dim: int) -> np.ndarray:
     """Return ``psi`` as a complex vector, or raise unless it has shape
     (dim,) and unit norm within ``STATE_NORM_TOL``."""

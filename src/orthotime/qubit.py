@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from ._scan import first_root
+from ._scan import SCAN_POINTS, first_root
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -28,10 +28,8 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 AXIS_TOL = 1e-12
 BRANCH_TOL = 1e-12
-# Root finding: the least number of scan intervals over the horizon, the
-# refinement tolerance relative to the horizon, and the criterion value at
-# which a refined crossing is accepted.
-SCAN_POINTS = 2000
+# Root finding: the refinement tolerance relative to the horizon, and the
+# criterion value at which a refined crossing is accepted.
 REFINE_REL_TOL = 1e-12
 REFINE_FTOL = 1e-13
 
@@ -58,9 +56,7 @@ class QubitField:
     r0: float = 0.0
 
     def __post_init__(self):
-        if not self.omega >= 0:  # NaN fails too
-            raise ValueError("omega must be nonnegative")
-        linalg._finite(self.omega, "omega")
+        linalg._finite_nonnegative(self.omega, "omega")
         linalg._finite(self.r0, "r0")
         object.__setattr__(self, "axis", _unit_axis(self.axis))
 
@@ -143,10 +139,8 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     frequency scale), whose grid count would not be finite.
     """
     gamma = linalg._finite(gamma, "gamma")
-    omega_a = linalg._finite(omega_a, "omega_a")
-    omega_b = linalg._finite(omega_b, "omega_b")
-    if omega_a < 0 or omega_b < 0:
-        raise ValueError("frequencies must be nonnegative")
+    omega_a = linalg._finite_nonnegative(omega_a, "omega_a")
+    omega_b = linalg._finite_nonnegative(omega_b, "omega_b")
     total = linalg._finite(omega_a + omega_b, "omega_a + omega_b")
     if total == 0:
         raise ValueError("frequencies must not both be zero")

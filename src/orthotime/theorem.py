@@ -56,8 +56,7 @@ class ConjectureScan:
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-style unitary: QR of a seeded complex Gaussian matrix with the
     R-diagonal phases absorbed.  Deterministic per seed."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    dim = linalg._count(dim, "dim")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -96,8 +95,8 @@ def check_subadditivity(u, v, seed: int | None = None) -> TheoremTrial:
 def run_trials(n_trials: int, dim_max: int, seed: int) -> list[TheoremTrial]:
     """Seeded sweep of subadditivity trials; dimensions and per-factor seeds
     derive deterministically from one master seed."""
-    if n_trials < 1 or dim_max < 1:
-        raise ValueError("n_trials and dim_max must be at least 1")
+    n_trials = linalg._count(n_trials, "n_trials")
+    dim_max = linalg._count(dim_max, "dim_max")
     master = np.random.default_rng(seed)
     dims = master.integers(1, dim_max + 1, size=n_trials)
     seeds = master.integers(0, 2**63 - 1, size=(n_trials, 2))
@@ -117,11 +116,11 @@ def _path_point(x, y, s: float) -> np.ndarray:
 def check_induction_step(x, y, s: float, ds: float) -> tuple[float, float]:
     """(||Z(s + ds)||_F, ||Z(s)||_F + ds ||Y||_F) for the path generator Z.
 
-    The full inequality lhs <= rhs holds for any step inside [0, 1] on a
-    cut-free path; small ds probes the differential version directly.
+    The full inequality lhs <= rhs holds for any step 0 <= s <= s + ds <= 1
+    on a cut-free path; small ds probes the differential version directly.
     """
-    if not (0.0 <= s and s + ds <= 1.0):
-        raise ValueError("s and s + ds must lie in [0, 1]")
+    if not 0.0 <= s <= s + ds <= 1.0:
+        raise ValueError("need 0 <= s <= s + ds <= 1")
     z1 = linalg.principal_log_norm(_path_point(x, y, s + ds))
     z0 = linalg.principal_log_norm(_path_point(x, y, s))
     return z1, z0 + ds * linalg.frobenius(y)
@@ -134,13 +133,14 @@ def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int,
 
     As in the maximality statement, ``ha`` is trace-projected; samples are
     Gaussian Hermitian, trace-projected alike, and rescaled to k_ratio times
-    the norm of the projected ha.  ``k_ratio`` and ``t`` are checked finite and
-    positive.  Raises ``CutProximityError`` if the product generator reaches
-    the branch cut (reduce t).
+    the norm of the projected ha.  ``k_ratio`` and ``t`` are checked finite
+    and positive, ``n_samples`` an integer >= 1.  Raises ``CutProximityError``
+    if the product generator reaches the branch cut (reduce t).
     """
     ha = linalg.assert_hermitian(ha, name="ha")
     k_ratio = linalg._finite_positive(k_ratio, "k_ratio")
     t = linalg._finite_positive(t, "t")
+    n_samples = linalg._count(n_samples, "n_samples")
     dim = ha.shape[0]
     ha = ha - (np.trace(ha) / dim) * np.eye(dim)
     norm_a = linalg.frobenius(ha)
@@ -160,5 +160,5 @@ def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int,
         hb = hb - (np.trace(hb) / dim) * np.eye(dim)
         hb = hb * (target / linalg.frobenius(hb))
         best = max(best, generator_norm(hb))
-    return ConjectureScan(dim, k_ratio, t, int(n_samples), int(seed),
+    return ConjectureScan(dim, k_ratio, t, n_samples, int(seed),
                           float(anti), float(best), float(anti - best))

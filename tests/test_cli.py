@@ -126,6 +126,21 @@ class TestInputValidation:
         assert code == 1
         assert err == f"error: {field} {rule}\n"
 
+    @pytest.mark.parametrize("dim", [0, 2.0, True, "2"], ids=repr)
+    def test_bad_dim_is_named(self, tmp_path, capsys, dim):
+        path = write_problem(tmp_path, dict(SZ_PAIR, dim=dim))
+        code, out, err = run_cli(["discriminate", "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: dim must be an integer of at least 1\n"
+
+    @pytest.mark.parametrize("key", ["omega_a", "omega_b"])
+    def test_negative_qubit_frequency_is_named(self, tmp_path, capsys, key):
+        qubit_fields = {"omega_a": 3.0, "omega_b": 1.0, "gamma": 1.0, key: -1.0}
+        path = write_problem(tmp_path, {"qubit": qubit_fields})
+        code, out, err = run_cli(["discriminate", "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: qubit.{key} must be nonnegative\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["discriminate", "--input", "/nonexistent.json"], capsys)
         assert code == 1

@@ -1,5 +1,5 @@
+import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from orthotime import discriminate, linalg, qubit
 from orthotime.discriminate import (
     DiscriminationResult,
     NoOrthogonality,
-    ScanContinuityWarning,
     bracket,
     find_t_perp,
     max_circular_gap,
@@ -20,7 +19,7 @@ from orthotime.discriminate import (
     phase_spectrum,
     product_unitary,
 )
-from orthotime.errors import DimensionMismatchError
+from orthotime.errors import ConvergenceError, DimensionMismatchError
 from helpers import (SX, SZ, overflow_pair, qubit_horizon, random_axis, random_hermitian,
                      random_state)
 
@@ -89,6 +88,16 @@ class TestMaxCircularGap:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             max_circular_gap(np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("phases", [[np.nan, 0.0], [0.0, np.inf], [0.0, 4.0],
+                                        [-np.pi, 0.0], [-4.0, 0.0]])
+    def test_rejects_phases_outside_the_principal_range(self, phases):
+        with pytest.raises(ValueError, match=r"^phases must lie in \(-pi, pi\]$"):
+            max_circular_gap(np.array(phases))
+
+    def test_accepts_pi_itself(self):
+        gap, pair = max_circular_gap(np.array([0.0, np.pi]))
+        assert gap == np.pi and pair == (0, 1)
 
     @settings(max_examples=200, derandomize=True)
     @given(st.lists(st.floats(min_value=-np.pi + 1e-9, max_value=np.pi),
@@ -240,11 +249,17 @@ class TestFindTPerp:
             assert_allclose(out.t_perp, t_closed, rtol=1e-6)
 
     def test_scan_respects_lipschitz_bound(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ScanContinuityWarning)
+        # A margin batch that broke the bound would raise ConvergenceError.
+        assert isinstance(find_t_perp(SZ, SX), DiscriminationResult)
+        rng = np.random.default_rng(37)
+        find_t_perp(random_hermitian(rng, 5), random_hermitian(rng, 5))
+
+    def test_corrupted_margin_stops_the_scan(self, monkeypatch):
+        # Beats 100x faster than the pair's L, as a corrupted evaluator would give.
+        clean = qubit._two_beats
+        monkeypatch.setattr(qubit, "_two_beats", lambda w, b, t: clean(w, b, 100.0 * t))
+        with pytest.raises(ConvergenceError, match="^scan jump ratio "):
             find_t_perp(SZ, SX)
-            rng = np.random.default_rng(37)
-            find_t_perp(random_hermitian(rng, 5), random_hermitian(rng, 5))
 
     def test_scan_memory_does_not_grow_with_the_grid(self):
         # A rootless pair (as below) on 1,018,592 grid intervals of pi/8: the
@@ -314,7 +329,7 @@ class TestFindTPerp:
             find_t_perp(ha, hb, alpha=alpha)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_margin_batches_that_break_the_lipschitz_bound_warn(self, dim):
+    def test_margin_batches_that_break_the_lipschitz_bound_raise(self, dim):
         rng = np.random.default_rng(41)
         pair = discriminate._EvolutionPair(random_hermitian(rng, dim), random_hermitian(rng, dim))
         # Spectra 100x faster than the half-spans behind L, as a corrupted
@@ -322,12 +337,15 @@ class TestFindTPerp:
         pair.lam = 100.0 * pair.lam
         if dim == 2:
             pair.beats = (100.0 * pair.beats[0], 100.0 * pair.beats[1])
+        ts = np.linspace(0.0, 1.0, 33)
+        values = (qubit._two_beats(pair.weights, pair.beats, ts) if dim == 2
+                  else linalg._largest_arc(pair.phases_grid(ts))[0] - np.pi)
+        ratio = np.max(np.abs(np.diff(values)) / (pair.lipschitz * np.diff(ts)))
+        assert ratio > 2.0
         margin = pair.trace_margin if dim == 2 else pair.gap_margin
-        with pytest.warns(ScanContinuityWarning):
-            margin(np.linspace(0.0, 1.0, 33))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ScanContinuityWarning)
-            margin(np.array([0.5]))  # a single sample has no neighbour to check
+        with pytest.raises(ConvergenceError, match="^" + re.escape(f"scan jump ratio {ratio:.3e} exceeds")):
+            margin(ts)
+        margin(np.array([0.5]))  # a single sample has no neighbour to check
 
     def test_both_scalar_is_never_orthogonal(self):
         out = find_t_perp(2.0 * np.eye(3, dtype=complex), -np.eye(3, dtype=complex))

@@ -1,7 +1,7 @@
 """Each input rule is stated once, in ``linalg``, and every entry point that
-takes an operator pair, a positive scalar or a finite scalar goes through
-it: a bad value raises an error that names the argument, NaN and infinity
-included."""
+takes an operator pair, a positive, nonnegative or finite scalar, or a count
+goes through it: a bad value raises an error that names the argument, NaN and
+infinity included."""
 
 import re
 
@@ -54,17 +54,16 @@ def test_bad_positive_scalar_is_named(site, value, rule):
         SCALAR_SITES[site](value)
 
 
-# Each routed scalar that need only be finite, with the values that reach
-# the rule: non-finite ones, or for the frequency sum two finite frequencies
-# whose sum overflows.  A NaN or -inf omega fails QubitField's earlier
-# "omega must be nonnegative" check instead.
+# Each routed scalar that need only be finite (or finite and nonnegative),
+# with the values that reach the rule: non-finite ones, or for the frequency
+# sum two finite frequencies whose sum overflows.
 NON_FINITE = [np.nan, np.inf, -np.inf, HUGE_INT]
 Z_AXIS = [0.0, 0.0, 1.0]
 FIELD = qubit.QubitField(1.0, Z_AXIS)
 FINITE_SITES = {
     "find_t_perp.alpha": (lambda v: discriminate.find_t_perp(SZ, SX, alpha=v), NON_FINITE),
     "saturating_pair.alpha": (lambda v: bounds.saturating_pair(1.0, 1.0, alpha=v), NON_FINITE),
-    "QubitField.omega": (lambda v: qubit.QubitField(v, Z_AXIS), [np.inf, HUGE_INT]),
+    "QubitField.omega": (lambda v: qubit.QubitField(v, Z_AXIS), NON_FINITE),
     "QubitField.r0": (lambda v: qubit.QubitField(1.0, Z_AXIS, r0=v), NON_FINITE),
     "qubit_t_perp.gamma": (lambda v: qubit.qubit_t_perp(v, 1.0, 2.0), NON_FINITE),
     "qubit_t_perp.omega_a": (lambda v: qubit.qubit_t_perp(0.3, v, 2.0), NON_FINITE),
@@ -89,6 +88,54 @@ def test_non_finite_scalar_is_named(site, value):
     name = site.split(".", 1)[1]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite$"):
         FINITE_SITES[site][0](value)
+
+
+# Each routed frequency that must be finite and nonnegative.
+NONNEGATIVE_SITES = {
+    "QubitField.omega": lambda v: qubit.QubitField(v, Z_AXIS),
+    "qubit_t_perp.omega_a": lambda v: qubit.qubit_t_perp(0.3, v, 2.0),
+    "qubit_t_perp.omega_b": lambda v: qubit.qubit_t_perp(0.3, 1.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, -5e-324])
+@pytest.mark.parametrize("site", list(NONNEGATIVE_SITES))
+def test_negative_frequency_is_named(site, value):
+    name = site.split(".", 1)[1]
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+        NONNEGATIVE_SITES[site](value)
+
+
+# Each routed count, with valid values in every other argument; all must be
+# integers of at least 1.
+COUNT_SITES = {
+    "conjecture_scan.n_samples": lambda v: theorem.conjecture_scan(HA3, 1.0, 0.1, v, 1),
+    "run_trials.n_trials": lambda v: theorem.run_trials(v, 2, 1),
+    "run_trials.dim_max": lambda v: theorem.run_trials(3, v, 1),
+    "random_unitary.dim": lambda v: theorem.random_unitary(v, 1),
+    "fig1_rows.n_points": lambda v: cli.fig1_rows(0.1, 0.5, v),
+    "fig2_rows.n_points": lambda v: cli.fig2_rows(0.0, 1.0, v),
+}
+BAD_COUNTS = [0, -3, 2.5, 3.0, np.float64(2.0), True, np.nan, "2", None]
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_bad_count_is_named(site, value):
+    name = site.split(".", 1)[1]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1$"):
+        COUNT_SITES[site](value)
+
+
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_numpy_integer_count_is_accepted(site):
+    COUNT_SITES[site](np.int64(2))
+
+
+def test_count_floor_is_stated_in_the_message():
+    assert linalg._count(0, "k", least=0) == 0
+    with pytest.raises(ValueError, match="^k must be an integer of at least 2$"):
+        linalg._count(1, "k", least=2)
 
 
 PAIR_SITES = {

@@ -2,9 +2,10 @@
 the top-level exports, the exception classes, the rule that tolerances are
 module constants rather than parameters, the settable values of
 ``find_t_perp`` and of the ``discriminate`` and ``bounds`` commands, the
-rule that the operator-pair, positive-scalar and finite-scalar input checks
-are stated only in ``linalg``, and a runtime that imports numpy but not
-scipy."""
+rule that the operator-pair, positive-scalar, nonnegative-scalar,
+finite-scalar and count input checks are stated only in ``linalg``, a package
+that reports trouble by raising rather than by warning, and a runtime that
+imports numpy but not scipy."""
 
 import argparse
 import ast
@@ -23,7 +24,6 @@ EXPORTS = [
     "find_t_perp",
     "DiscriminationResult",
     "NoOrthogonality",
-    "ScanContinuityWarning",
     "qubit_t_perp",
     "bounds_report",
     "BoundsReport",
@@ -98,9 +98,11 @@ def test_problem_commands_offer_only_the_horizon_and_the_phase():
         assert flags - {"-h", "--help"} == {"--input", "--output", "--t-max", "--alpha"}, name
 
 
-# Phrases of the input rules ``linalg._square_pair``, ``linalg._finite_positive``
-# and ``linalg._finite`` state; no other module may spell them out.
-INPUT_RULE_PHRASES = ("shape mismatch", "must be positive", "must be finite")
+# Phrases of the input rules ``linalg._square_pair``, ``linalg._finite_positive``,
+# ``linalg._finite_nonnegative``, ``linalg._finite`` and ``linalg._count``
+# state; no other module may spell them out.
+INPUT_RULE_PHRASES = ("shape mismatch", "must be positive", "must be nonnegative",
+                      "must be finite", "must be an integer")
 
 
 def test_input_rules_are_stated_only_in_linalg():
@@ -112,6 +114,19 @@ def test_input_rules_are_stated_only_in_linalg():
                     if phrase in node.value:
                         found[phrase].add(path.name)
     assert found == {phrase: {"linalg.py"} for phrase in INPUT_RULE_PHRASES}
+
+
+def test_no_module_imports_warnings():
+    # Trouble is raised as a named error; no code path warns and carries on.
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "warnings" for m in modules), path.name
 
 
 def test_cli_import_loads_no_scipy():

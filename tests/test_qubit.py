@@ -42,7 +42,9 @@ class TestQubitHamiltonian:
 
     @pytest.mark.parametrize("omega", [np.nan, -1.0])
     def test_rejects_a_nan_or_negative_frequency(self, omega):
-        with pytest.raises(ValueError, match="omega must be nonnegative"):
+        # Finiteness is checked first, as for every nonnegative scalar.
+        rule = "finite" if np.isnan(omega) else "nonnegative"
+        with pytest.raises(ValueError, match=f"^omega must be {rule}$"):
             qubit.QubitField(omega, Z_AXIS)
 
 

@@ -115,6 +115,26 @@ class TestInductionStep:
             theorem.check_induction_step(np.zeros((2, 2), complex),
                                          np.zeros((2, 2), complex), 0.9, 0.2)
 
+    # A backward step, a start past 1 and NaN leave the forward step in
+    # [0, 1]; (0, -0.5) would evaluate the path at s = -0.5, and (0.5, -0.2)
+    # would report lhs > rhs, a false violation.
+    @pytest.mark.parametrize("s, ds", [(0.0, -0.5), (0.5, -0.2), (1.2, -0.3), (-0.1, 0.2),
+                                       (np.nan, 0.1), (0.5, np.nan)])
+    def test_rejects_a_step_that_is_not_forward_in_the_unit_interval(self, s, ds):
+        rng = np.random.default_rng(17)
+        x = random_hermitian(rng, 2, radius=1.0)
+        y = random_hermitian(rng, 2, radius=1.0)
+        with pytest.raises(ValueError, match=r"^need 0 <= s <= s \+ ds <= 1$"):
+            theorem.check_induction_step(x, y, s, ds)
+
+    def test_accepts_a_zero_step_at_either_end(self):
+        rng = np.random.default_rng(19)
+        x = random_hermitian(rng, 2, radius=1.0)
+        y = random_hermitian(rng, 2, radius=1.0)
+        for s in (0.0, 1.0):
+            lhs, rhs = theorem.check_induction_step(x, y, s, 0.0)
+            assert lhs == rhs
+
 
 class TestConjectureScan:
     def test_anti_aligned_reaches_exact_value(self):
