@@ -4,7 +4,7 @@ Subcommands:
 
 *  ``discriminate``   JSON problem in, structured JSON report out.  Exit 0
    when an orthogonality time was found, 2 when none exists within the
-   horizon (a legitimate outcome, not an error), 1 on bad input.
+   horizon (a legitimate outcome), 1 on bad input or a ConvergenceError.
 *  ``bounds``         JSON problem in, bounds report out (exit 0 or 1).
 *  ``fig1``/``fig2``  CSV sweeps over the relative frequency difference r
    at perfect alignment, and over the alignment angle gamma at fixed
@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bounds, discriminate, linalg, qubit, theorem
-from .errors import NonHermitianError
+from .errors import ConvergenceError, NonHermitianError
 
 CSV_HEADER = "abscissa,t_perp_raw,t_perp_norm,t_lb_aa,t_lb_span,t_margolus,exists"
 VIOLATION_SLACK = 1e-9
@@ -128,10 +128,10 @@ def fig2_rows(gamma_min: float, gamma_max: float, n_points: int,
 # problem input
 # ---------------------------------------------------------------------------
 
-def _as_number(x, field: str) -> float:
+def _as_number(x, field: str, rule=linalg._finite) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"{field} must be a number")
-    return linalg._finite(x, field)
+    return rule(x, field)
 
 
 def _parse_matrix(obj, dim: int, field: str) -> np.ndarray:
@@ -224,8 +224,8 @@ def _parse_qubit(q) -> tuple[np.ndarray, np.ndarray, float]:
     for key in ("omega_a", "omega_b"):
         if key not in q:
             raise ValueError(f"qubit.{key} is required")
-    omega_a, omega_b = (linalg._finite_nonnegative(_as_number(q[k], f"qubit.{k}"), f"qubit.{k}")
-                        for k in ("omega_a", "omega_b"))
+    omega_a = _as_number(q["omega_a"], "qubit.omega_a", linalg._finite_nonnegative)
+    omega_b = _as_number(q["omega_b"], "qubit.omega_b", linalg._finite_nonnegative)
     has_gamma = "gamma" in q
     has_axes = "axis_a" in q or "axis_b" in q
     if has_gamma == has_axes:
@@ -318,20 +318,22 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_fig1(args) -> int:
-    rows = fig1_rows(args.r_min, args.r_max, args.points, args.omega_sum)
+    rows = fig1_rows(args.r_min, args.r_max, linalg._count(args.points, "--points"),
+                     args.omega_sum)
     _write(args.output, rows_to_csv(rows))
     return 0
 
 
 def cmd_fig2(args) -> int:
-    rows = fig2_rows(args.gamma_min, args.gamma_max, args.points,
+    rows = fig2_rows(args.gamma_min, args.gamma_max, linalg._count(args.points, "--points"),
                      args.omega_ratio, args.omega_sum)
     _write(args.output, rows_to_csv(rows))
     return 0
 
 
 def cmd_verify_theorem(args) -> int:
-    trials = theorem.run_trials(args.trials, args.dim_max, args.seed)
+    trials = theorem.run_trials(linalg._count(args.trials, "--trials"),
+                                linalg._count(args.dim_max, "--dim-max"), args.seed)
     unskipped = [t for t in trials if not t.skipped]
     violations = sum(1 for t in unskipped if t.margin < -VIOLATION_SLACK)
     worst = min((t.margin for t in unskipped), default=float("nan"))
@@ -404,7 +406,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

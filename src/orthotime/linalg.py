@@ -109,11 +109,10 @@ def _finite_nonnegative(value, name: str) -> float:
     return value
 
 
-def _count(value, name: str, least: int = 1) -> int:
-    """``value`` as an int; raises ValueError naming the argument unless it
-    is an integer, not a bool, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}")
+def _count(value, name: str) -> int:
+    """``value`` as an int; a ValueError names it unless it is an int >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1")
     return int(value)
 
 

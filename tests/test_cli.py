@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from orthotime import cli
+from orthotime import cli, qubit
 from helpers import overflow_pair
 
 
@@ -145,6 +145,27 @@ class TestInputValidation:
         code, _, err = run_cli(["discriminate", "--input", "/nonexistent.json"], capsys)
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["discriminate", "bounds"])
+    def test_corrupted_margin_is_a_one_line_error(self, tmp_path, capsys, monkeypatch, command):
+        # Beats 100x faster than the pair's L break the scan's continuity check.
+        clean = qubit._two_beats
+        monkeypatch.setattr(qubit, "_two_beats", lambda w, b, t: clean(w, b, 100.0 * t))
+        path = write_problem(tmp_path, SZ_PAIR)
+        code, out, err = run_cli([command, "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: scan jump ratio ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig1", "--points", "0"], "--points"),
+        (["fig2", "--points", "-2"], "--points"),
+        (["verify-theorem", "--trials", "0"], "--trials"),
+        (["verify-theorem", "--dim-max", "0"], "--dim-max"),
+    ])
+    def test_bad_count_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be an integer of at least 1\n"
 
 
 class TestNonFiniteInput:

@@ -132,12 +132,6 @@ def test_numpy_integer_count_is_accepted(site):
     COUNT_SITES[site](np.int64(2))
 
 
-def test_count_floor_is_stated_in_the_message():
-    assert linalg._count(0, "k", least=0) == 0
-    with pytest.raises(ValueError, match="^k must be an integer of at least 2$"):
-        linalg._count(1, "k", least=2)
-
-
 PAIR_SITES = {
     "_EvolutionPair": (discriminate._EvolutionPair, ("ha", "hb")),
     "find_t_perp": (discriminate.find_t_perp, ("ha", "hb")),
