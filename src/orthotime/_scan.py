@@ -1,27 +1,24 @@
 """First-root detection on a sampled scalar curve.
 
 Shared between the closed-form qubit criterion and the generic eigenphase-gap
-engine.  A root can show up in two ways along a grid scan that starts
-positive: as a sign change or as a dip that touches zero between samples
-without a nonpositive sample (hunted down by recursive subsampling around
-the running minimum).  Touch hunting is only attempted where the sampled
-value is within one Lipschitz step of zero, which is the widest a sub-grid
-excursion to zero can hide.  A sign change is refined by ``bisect_root``:
-inverse quadratic and secant steps as in Brent-Dekker, which converge
-superlinearly on a smooth crossing (about four evaluations where bisection
-needs thirty), held to bisection's schedule by an ITP-style projection so
-that no curve costs more than ``_SLACK`` evaluations beyond bisection.
+engine.  A root shows up along a grid scan that starts positive as a sign
+change, or as a dip that touches zero between positive samples, hunted down
+by recursive subsampling around the running minimum.  One rule, the
+Lipschitz floor of Piyavskii (1972) and Shubert (1972), decides every touch
+hunt: a curve of slope at most L stays above (f_lo + f_hi - L h) / 2 between
+samples f_lo and f_hi taken h apart.  The scan hunts a sampled local minimum
+only where one of its two interval floors is at most ``2 * TOUCH_TOL``, and
+a hunt gives up once all its subsamples' floors exceed that level.  A sign
+change is refined by ``bisect_root``, safeguarded Brent-Dekker steps held
+to bisection's schedule.
 
 The scan computes its own abscissae, a block at a time, on the uniform grid
-of n intervals over [0, t_end] and stops at the first root.  No grid is
-materialized: a root early in the horizon costs a few blocks, and memory is
-bounded by one block whatever the step.  Given the curve's exact start value
-f0 and its slope bound L, the scan also skips the prefix of the grid that
-f >= f0 - L t proves clear of every root and touch candidate (the first
-Lipschitz step of Piyavskii-Shubert): it starts next to the first grid
-point the bound leaves open, with a first block reaching to twice f0 / L,
-the earliest time the bound leaves for a root.  The result is the same, bit
-for bit, as sampling every grid point first (see ``first_root``).
+of n intervals over [0, t_end] and stops at the first root, so memory is
+bounded by one block whatever the step.  The caller gives a strictly
+positive lower bound f0 on the start value, and the scan skips the grid
+prefix that f >= f0 - L t proves clear of every root and touch candidate
+(the first Lipschitz step of Piyavskii-Shubert).  The result is the same,
+bit for bit, as sampling every grid point first (see ``first_root``).
 """
 
 from __future__ import annotations
@@ -31,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 SCAN_POINTS = 2000  # least grid intervals over a horizon, in both engines
-# Block schedule of the lazy scan: the first block holds ``_FIRST_BLOCK``
-# points when nothing is certified, and otherwise at least as many, reaching
-# to twice the certified bound, because roots often sit early in the horizon;
-# the cap bounds the memory of one block.
+# Block schedule of the lazy scan: the first block holds at least
+# ``_FIRST_BLOCK`` points and reaches to twice the certified bound, because
+# roots often sit early in the horizon; the cap bounds one block's memory.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 65536
 # Evaluations one crossing refinement may spend; the bisection safeguard
@@ -135,11 +131,11 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschi
     sample hands its bracket over to ``bisect_root``; a nonpositive first
     sample, at ``lo`` itself, is the crossing.  Otherwise the dip counts as a
     root only when the refined minimum is <= ``TOUCH_TOL``.  The hunt gives
-    up as soon as one round's samples and the slope bound ``lipschitz``
-    prove that the curve stays above ``2 * TOUCH_TOL`` on the whole bracket
-    (the second ``TOUCH_TOL`` absorbs rounding in the samples): every later
-    round samples inside that bracket, so the full refinement, which an
-    infinite ``lipschitz`` requests, would return None as well.
+    up once every interval floor (``_floor``) of one round's samples exceeds
+    ``2 * TOUCH_TOL`` (the second ``TOUCH_TOL`` absorbs rounding in the
+    samples): the curve then stays above that level on the whole bracket,
+    inside which every later round samples, so the full refinement, which
+    an infinite ``lipschitz`` requests, would return None as well.
     """
     best_t = best_f = None
     for _ in range(_TOUCH_ROUNDS):
@@ -153,13 +149,8 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschi
             t, v = bisect_root(_scalar(f_batch), float(ts[j - 1]), float(ts[j]),
                                float(fs[j - 1]), float(fs[j]), xtol, ftol)
             return RootHit(t, v, "crossing")
-        # Lowest value a curve of slope <= lipschitz through the samples can
-        # reach between two neighbours; no bound for an infinite lipschitz,
-        # whose product with a spacing rounded to 0 would be NaN.
-        if np.isfinite(lipschitz):
-            floor = 0.5 * np.min(fs[:-1] + fs[1:] - lipschitz * np.diff(ts))
-            if floor > 2.0 * TOUCH_TOL:
-                return None
+        if np.min(_floor(fs[:-1], fs[1:], lipschitz, np.diff(ts))) > 2.0 * TOUCH_TOL:
+            return None
         m = int(np.argmin(fs))
         best_t, best_f = float(ts[m]), float(fs[m])
         width_floor = max(xtol, 4.0 * np.finfo(float).eps * max(abs(hi), 1.0))
@@ -171,13 +162,28 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschi
     return None
 
 
-def _touch_candidates(fs, window: float) -> np.ndarray:
-    """Indices j, 1 <= j <= fs.size - 2, of local minima fs[j] <= ``window``.
+def _floor(f_lo, f_hi, lipschitz: float, width):
+    """Lowest value 0.5 (f_lo + f_hi - lipschitz width) a curve of slope at
+    most ``lipschitz`` can take between samples ``f_lo`` and ``f_hi`` taken
+    ``width`` apart; NaN, which callers count as flagged, where an infinite
+    ``lipschitz`` meets a zero width or an infinite sample."""
+    with np.errstate(invalid="ignore"):
+        return 0.5 * (f_lo + f_hi - lipschitz * width)
 
-    ``fs`` holds only samples before the first nonpositive one (and perhaps a
-    +inf sentinel), so every candidate and both neighbours are positive."""
+
+def _touch_candidates(ts, fs, lipschitz: float) -> np.ndarray:
+    """Indices j, 1 <= j <= fs.size - 2, of the local minima of ``fs`` (at
+    ``ts``) with an interval floor (``_floor``) at most ``2 * TOUCH_TOL``, or
+    NaN, on either side; past two higher floors ``_touch_hunt`` would return
+    None.  ``fs`` holds only samples before the first nonpositive one (and
+    perhaps a +inf sentinel), so every candidate and its neighbours are positive."""
     left, mid, right = fs[:-2], fs[1:-1], fs[2:]
-    return np.flatnonzero((mid <= window) & (left >= mid) & (mid <= right)) + 1
+    j = np.flatnonzero((left >= mid) & (mid <= right)) + 1
+    if not j.size:
+        return j
+    i = np.concatenate((j - 1, j))  # the intervals left and right of each minimum
+    low = ~(_floor(fs[i], fs[i + 1], lipschitz, ts[i + 1] - ts[i]) > 2.0 * TOUCH_TOL)
+    return j[low[:j.size] | low[j.size:]]
 
 
 def _blocks(start: int, stop: int, size: int):
@@ -197,7 +203,7 @@ def _lower(low, ts, fs):
 
 
 def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
-               ftol: float, f0: float | None = None) -> RootHit:
+               ftol: float, f0: float) -> RootHit:
     """Earliest root on [0, ``t_end``] of a curve that starts strictly
     positive, scanned on the uniform grid of ``n`` >= 1 intervals.
 
@@ -205,32 +211,30 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
     called on consecutive blocks of the grid, each computed as
     ``np.arange(start, stop) * (t_end / n)`` with the last point set to
     exactly ``t_end``: bit for bit the points of
-    ``np.linspace(0, t_end, n + 1)``, which is never built.  Evaluation
-    stops at the first root.  Positive local minima within the window
-    ``lipschitz * t_end / n`` of zero (none when ``lipschitz`` is 0) are
-    inspected as potential sub-grid touches, in grid order and before a
-    later sign change; the horizon endpoint, given a sentinel right neighbour
+    ``np.linspace(0, t_end, n + 1)``, which is never built.  ``lipschitz``
+    bounds the curve's slope and ``f0``, checked positive, is a lower bound
+    on its value at 0.  Touch candidates are the positive sampled local
+    minima with an interval floor at most ``2 * TOUCH_TOL`` on either side
+    (see ``_touch_candidates``), hunted in grid order and before a later
+    sign change; the horizon endpoint, given a sentinel right neighbour
     (``t_end``, +inf), is one more, with the one-sided bracket [t_{n-1},
-    ``t_end``].  Returns a RootHit of kind
-    "crossing" or "touch"; with no root, of kind "none", holding the
-    smallest sample and the first grid time where it occurs.
+    ``t_end``].  Returns a RootHit of kind "crossing" or "touch"; with no
+    root, of kind "none", holding the smallest sample and the first grid
+    time where it occurs.
 
-    Certified start: ``f0``, when given, is the curve's exact value at 0,
-    checked strictly positive, and ``lipschitz`` bounds its slope.  Then
-    f(t) >= f0 - lipschitz t, so with clear = (f0 - window) / lipschitz the
-    curve exceeds twice the window at every grid index below
-    k = ceil(clear / step) - 1: none of them is a touch candidate or a sign
-    change, even with sampling errors up to the window.  Evaluation starts
-    at s = max(k - 1, 0), the left neighbour of the first possible
-    candidate.  The first block reaches from s to twice b = k + 2, the
-    first grid index at or past f0 / lipschitz, the earliest time the bound
-    leaves for a root, so one batch covers every root up to twice that time;
-    it holds at least ``_FIRST_BLOCK`` and at most ``_MAX_BLOCK`` points,
-    and each later block doubles up to ``_MAX_BLOCK``.  Without ``f0`` the
-    scan starts at index 0, whose sample is checked positive, with a first
-    block of ``_FIRST_BLOCK`` points.  A scan that finds no root then
-    samples the skipped prefix too, in the same bounded blocks, for the
-    smallest sample.
+    Certified start: f(t) >= f0 - lipschitz t.  With the window
+    w = lipschitz * t_end / n and clear = (f0 - w) / lipschitz, every grid
+    index i below k = ceil(clear / step) - 1 has f_{i+1} > w and f_i > 2 w,
+    so both its interval floors exceed w.  When w >= 2 ``TOUCH_TOL`` none
+    of them is a touch candidate or a sign change, and evaluation starts at
+    s = max(k - 1, 0); a smaller window certifies nothing, and s = 0.  The
+    first block reaches from s to twice b = k + 2, the first grid index at
+    or past f0 / lipschitz, where the bound first leaves room for a root; it
+    holds at least ``_FIRST_BLOCK`` and at most ``_MAX_BLOCK`` points, and
+    each later block doubles up to ``_MAX_BLOCK``.  A scan from index 0
+    checks that sample positive, which guards the claim ``f0``.  A scan that
+    finds no root then samples the skipped prefix too, for the smallest
+    sample.
 
     Guarantee: the result is the same, bit for bit, as that of a scan that
     samples the whole grid first and walks it point by point.  That walk
@@ -241,17 +245,15 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
     A hunt may stop early, but only where the full refinement would return
     None (see ``_touch_hunt``).
     """
+    if not f0 > 0.0:
+        raise ValueError(f"scan must start strictly positive, got f0 = {f0!r}")
     step = t_end / n
     window = lipschitz * step
-    s, first = 0, _FIRST_BLOCK
-    if f0 is not None:
-        if not f0 > 0.0:
-            raise ValueError(f"scan must start strictly positive, got f0 = {f0!r}")
-        # b = ceil(f0 / window) is the first grid index at or past f0 / L;
-        # k = ceil(clear / step) - 1 = b - 2, and s = k - 1.
-        b = min(np.ceil(f0 / window) if window > 0.0 else np.inf, n + 4.0)
-        s = int(max(b - 3.0, 0.0))
-        first = min(max(int(2.0 * b) - s, _FIRST_BLOCK), _MAX_BLOCK)
+    # b = ceil(f0 / window), the first grid index at or past f0 / L, or 0 for
+    # a window too small to certify; k = ceil(clear / step) - 1 = b - 2, s = k - 1.
+    b = min(np.ceil(f0 / window) if window >= 2.0 * TOUCH_TOL else 0.0, n + 4.0)
+    s = int(max(b - 3.0, 0.0))
+    first = min(max(int(2.0 * b) - s, _FIRST_BLOCK), _MAX_BLOCK)
 
     def abscissae(lo: int, hi: int) -> np.ndarray:
         ts = np.arange(lo, hi, dtype=float) * step
@@ -271,7 +273,7 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
             ts, fs = np.append(ts, t_end), np.append(fs, np.inf)
         neg = np.flatnonzero(new <= 0.0)
         cross = tail.size + int(neg[0]) if neg.size else fs.size
-        for j in _touch_candidates(fs[:cross], window):
+        for j in _touch_candidates(ts[:cross], fs[:cross], lipschitz):
             hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[j + 1]), xtol, ftol, lipschitz)
             if hit is not None:
                 return hit

@@ -90,7 +90,8 @@ def margolus_bound(e_bar: float) -> float:
 
 def geodesic_length(ha, hb, psi, t: float) -> float:
     """Projective-space length 2 (dE_a + dE_b) t swept by the two evolutions
-    up to time t; at least pi whenever the endpoints are orthogonal."""
+    up to a finite time t; at least pi whenever the endpoints are orthogonal."""
+    t = linalg._finite(t, "t")
     da = energy_uncertainty(ha, psi)
     db = energy_uncertainty(hb, psi)
     return float(2.0 * (da + db) * t)
@@ -109,7 +110,8 @@ def saturating_pair(omega_a: float, omega_b: float, dim: int = 2,
     omega_a = linalg._finite_positive(omega_a, "omega_a")
     omega_b = linalg._finite_positive(omega_b, "omega_b")
     alpha = linalg._finite(alpha, "alpha")
-    if dim < 2:
+    dim = linalg._count(dim, "dim")
+    if dim == 1:
         raise DimensionMismatchError("dim must be at least 2")
     ha = np.zeros((dim, dim), dtype=complex)
     hb = np.zeros((dim, dim), dtype=complex)
@@ -168,7 +170,7 @@ class BoundsReport:
     def geodesic_length_at(self, t: float) -> float:
         if self.delta_E_a is None or self.delta_E_b is None:
             raise ValueError("no state-dependent data in this report")
-        return 2.0 * (self.delta_E_a + self.delta_E_b) * t
+        return 2.0 * (self.delta_E_a + self.delta_E_b) * linalg._finite(t, "t")
 
 
 def bounds_report(ha, hb, psi=None, e_bar: float | None = None) -> BoundsReport:

@@ -224,13 +224,11 @@ def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     step is t_max / ``SCAN_POINTS``, at most pi/(2L) for the margin's Lipschitz
     constant L = 2 (wa + wb); t_max defaults to ``HORIZON_SPANS`` span lower
     bounds pi/L, and a crossing is refined to ``REFINE_REL_TOL`` * t_max.
-    The margin starts at pi (the d = 2 margin at 2) and moves at most L per
-    unit time, so it stays positive before pi/L (2/L): the scan starts next
-    to that time, with a first block reaching to twice it, and samples the
-    skipped prefix only to report the infimum of a rootless scan.  A
-    given t_max is checked positive and, like alpha, t_max (max|lam| +
-    max|mu|) and the grid count, finite.  Margin samples that break the
-    Lipschitz bound raise ``ConvergenceError`` with their jump ratio.
+    The scan's start bound is the margin's exact value at t = 0: pi, or 2
+    for the d = 2 margin.  A given t_max is checked positive and, like
+    alpha, t_max (max|lam| + max|mu|) and the grid count, finite.  Margin
+    samples that break the Lipschitz bound raise ``ConvergenceError`` with
+    their jump ratio.
 
     Returns a ``DiscriminationResult`` on success.  Returns a
     ``NoOrthogonality`` report when g never reaches zero on the horizon; the

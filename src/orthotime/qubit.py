@@ -74,10 +74,10 @@ def qubit_hamiltonian(field: QubitField) -> np.ndarray:
 
 
 def rotation(axis, theta: float) -> np.ndarray:
-    """Spin rotation by theta about a unit axis:
+    """Spin rotation by a finite theta about a unit axis:
     cos(theta/2) - i sin(theta/2) axis.sigma."""
     n = _unit_axis(axis)
-    half = 0.5 * theta
+    half = 0.5 * linalg._finite(theta, "theta")
     return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * _dot_sigma(n)
 
 
@@ -87,8 +87,11 @@ def compose_rotations(theta_a: float, axis_a, theta_b: float, axis_b) -> AxisAng
 
     The scalar part is cos(ta/2)cos(tb/2) + sin(ta/2)sin(tb/2) (ra.rb); the
     vector part carries the two weighted axes plus the cross-product term
-    fixed by expanding the 2x2 product with the Pauli algebra.
+    fixed by expanding the 2x2 product with the Pauli algebra.  Both angles
+    are checked finite.
     """
+    theta_a = linalg._finite(theta_a, "theta_a")
+    theta_b = linalg._finite(theta_b, "theta_b")
     ra = _unit_axis(axis_a)
     rb = _unit_axis(axis_b)
     ca, sa = np.cos(0.5 * theta_a), np.sin(0.5 * theta_a)
@@ -121,22 +124,17 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
 
     The horizon comes from the dominant-amplitude term: pi/|wa - wb| when
     cos^2(gamma/2) > sin^2(gamma/2) (no root exists at all if additionally
-    wa = wb), else pi/(wa + wb).  The scan grid is densified beyond
-    ``SCAN_POINTS`` intervals whenever the fast beat (wa + wb) would otherwise
-    be under-resolved.  The first sign change is refined to
-    ``REFINE_REL_TOL`` relative to the horizon by ``_scan.bisect_root``
-    (safeguarded inverse quadratic and secant steps, a few criterion
-    evaluations on an ordinary row); a boundary tangency (e.g. gamma = pi/2
-    with equal frequencies) is found by the scan's touch hunt.  The grid is
-    evaluated lazily in growing blocks and the scan stops at the first root,
-    with the same result as scanning every grid point (see
-    ``_scan.first_root``); no grid is materialized, so memory is bounded by
-    one block.  The criterion starts at 1 with slope at most
-    L = cos^2(gamma/2) |wa - wb| + sin^2(gamma/2) (wa + wb), so it stays
-    positive before 1/L: the scan starts next to that time, with a first
-    block reaching to twice it.  A non-finite argument or frequency sum
-    raises ValueError, and so does an infinite horizon (a subnormal
-    frequency scale), whose grid count would not be finite.
+    wa = wb), else pi/(wa + wb).  The grid has ``SCAN_POINTS`` intervals,
+    more where the fast beat (wa + wb) would be under-resolved, and at most
+    5,000,000.  ``_scan.first_root`` scans it lazily and stops at the first
+    root: a sign change, refined to ``REFINE_REL_TOL`` relative to the
+    horizon, or a touch such as the horizon-end tangency at gamma = pi/2
+    with equal frequencies.  Its start bound is the criterion's exact value
+    1 at t = 0, and its slope bound L = cos^2(gamma/2) |wa - wb| +
+    sin^2(gamma/2) (wa + wb); L times the step is at least pi/5e6 times the
+    dominant weight, above 3e-7, so it never underflows.  A non-finite
+    argument or frequency sum raises ValueError, and so does an infinite
+    horizon (a subnormal frequency scale), which has no finite grid count.
     """
     gamma = linalg._finite(gamma, "gamma")
     omega_a = linalg._finite_nonnegative(omega_a, "omega_a")
@@ -157,17 +155,16 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     if not np.isfinite(horizon):  # a subnormal frequency scale
         raise ValueError(f"horizon ({horizon!r}) gives no finite scan grid count")
     # Densify beyond SCAN_POINTS so the fast beat stays resolved on long
-    # horizons.  The cap bounds the criterion evaluations of a rootless scan
-    # (memory is bounded by the scan's block); past it the fast beat is
-    # under-resolved.
-    n = min(max(SCAN_POINTS, int(np.ceil(4.0 * horizon * total / np.pi))), 5_000_000)
+    # horizons.  The cap bounds the evaluations of a rootless scan; past it
+    # the fast beat is under-resolved.  It is taken in floating point, where
+    # a horizon past about 4.5e307 makes the densified count inf.
+    n = int(min(max(SCAN_POINTS, np.ceil(4.0 * horizon * total / np.pi)), 5_000_000))
 
     def f_batch(tt):
         return criterion(gamma, omega_a, omega_b, tt)
 
     lip = a * abs(omega_a - omega_b) + b * total
-    hit = first_root(f_batch, horizon, n, max(lip, 1e-300), REFINE_REL_TOL * horizon, REFINE_FTOL,
-                     f0=1.0)
+    hit = first_root(f_batch, horizon, n, lip, REFINE_REL_TOL * horizon, REFINE_FTOL, f0=1.0)
     return float(hit.t) if hit.kind != "none" else None
 
 

@@ -78,6 +78,14 @@ FINITE_SITES = {
     "orthogonal_state.alpha": (lambda v: discriminate.orthogonal_state(I2, (0, 1), v),
                                NON_FINITE),
     "expm_i.t": (lambda v: linalg.expm_i(SZ, v), NON_FINITE),
+    "rotation.theta": (lambda v: qubit.rotation(Z_AXIS, v), NON_FINITE),
+    "compose_rotations.theta_a": (lambda v: qubit.compose_rotations(v, Z_AXIS, 1.0, Z_AXIS),
+                                  NON_FINITE),
+    "compose_rotations.theta_b": (lambda v: qubit.compose_rotations(1.0, Z_AXIS, v, Z_AXIS),
+                                  NON_FINITE),
+    "geodesic_length.t": (lambda v: bounds.geodesic_length(SZ, SX, I2[0], v), NON_FINITE),
+    "geodesic_length_at.t": (lambda v: bounds.bounds_report(SZ, SX, I2[0]).geodesic_length_at(v),
+                             NON_FINITE),
 }
 
 
@@ -115,6 +123,7 @@ COUNT_SITES = {
     "random_unitary.dim": lambda v: theorem.random_unitary(v, 1),
     "fig1_rows.n_points": lambda v: cli.fig1_rows(0.1, 0.5, v),
     "fig2_rows.n_points": lambda v: cli.fig2_rows(0.0, 1.0, v),
+    "saturating_pair.dim": lambda v: bounds.saturating_pair(1.0, 1.0, dim=v),
 }
 BAD_COUNTS = [0, -3, 2.5, 3.0, np.float64(2.0), True, np.nan, "2", None]
 
@@ -130,6 +139,11 @@ def test_bad_count_is_named(site, value):
 @pytest.mark.parametrize("site", list(COUNT_SITES))
 def test_numpy_integer_count_is_accepted(site):
     COUNT_SITES[site](np.int64(2))
+
+
+def test_saturating_pair_of_one_dimension_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError, match="^dim must be at least 2$"):
+        bounds.saturating_pair(1.0, 1.0, dim=1)
 
 
 PAIR_SITES = {

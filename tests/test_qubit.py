@@ -192,6 +192,13 @@ class TestQubitTPerp:
         with pytest.raises(ValueError, match=r"^horizon \(inf\) gives no finite scan grid count$"):
             qubit.qubit_t_perp(gamma, 5e-324, 0.0)
 
+    def test_horizon_near_the_float_range_scales_the_root(self):
+        # The horizon pi / 2e-308 is about 1.6e308, so the densified grid
+        # count 4 horizon (wa + wb) / pi overflows to inf: the 5,000,000 cap
+        # still applies, and the root scales with the frequencies.
+        t = qubit.qubit_t_perp(1.4, (1 + 1e-3) * 1e-305, (1 - 1e-3) * 1e-305)
+        assert_allclose(t, 1e305 * qubit.qubit_t_perp(1.4, 1 + 1e-3, 1 - 1e-3), rtol=1e-12)
+
 
 class TestMeanEnergyBar:
     @pytest.mark.parametrize("wa,wb,cg,expected", [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from orthotime import _scan, discriminate, qubit
-from orthotime._scan import RootHit, _scalar, _touch_hunt, bisect_root, first_root
+from orthotime._scan import TOUCH_TOL, RootHit, _scalar, _touch_hunt, bisect_root, first_root
 from helpers import random_hermitian
 
 B = _scan._FIRST_BLOCK
@@ -24,20 +24,26 @@ XTOL, FTOL = 1e-12, 1e-11
 
 
 def full_grid_first_root(f_batch, ts, lipschitz, xtol=XTOL, ftol=FTOL):
-    """Reference: sample the whole grid, then walk it point by point.  Touch
-    hunts get an infinite Lipschitz bound, so they run every round."""
+    """Reference: sample the whole grid, then walk it point by point.  A
+    positive sampled local minimum is hunted when the Lipschitz floor
+    (f_i + f_{i+1} - L h) / 2 of one of its two intervals is at most
+    2 TOUCH_TOL; the last sample, if not above its left neighbour, is a
+    minimum with its left interval only.  Touch hunts get an infinite
+    Lipschitz bound, so they run every round."""
     ts = np.asarray(ts, dtype=float)
     n = ts.size
     fs = np.asarray(f_batch(ts), dtype=float)
     if fs[0] <= 0.0:
         raise ValueError("scan must start at a strictly positive sample")
-    step = (ts[-1] - ts[0]) / (n - 1)
-    window = lipschitz * step
+
+    def low(i):  # the floor of the interval [ts[i], ts[i + 1]] is near zero
+        return 0.5 * (fs[i] + fs[i + 1] - lipschitz * (ts[i + 1] - ts[i])) <= 2.0 * TOUCH_TOL
+
     for k in range(1, n):
         if k >= 2:
             j = k - 1
-            if (0.0 < fs[j] <= window and fs[j - 1] >= fs[j] <= fs[k]
-                    and fs[j - 1] > 0.0 and fs[k] > 0.0):
+            minimum = fs[j - 1] >= fs[j] <= fs[k] and fs[j] > 0.0 and fs[k] > 0.0
+            if minimum and (low(j - 1) or low(j)):
                 hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[k]), xtol, ftol, np.inf)
                 if hit is not None:
                     return hit
@@ -45,12 +51,20 @@ def full_grid_first_root(f_batch, ts, lipschitz, xtol=XTOL, ftol=FTOL):
             t, v = bisect_root(_scalar(f_batch), float(ts[k - 1]), float(ts[k]),
                                float(fs[k - 1]), float(fs[k]), xtol, ftol)
             return RootHit(t, v, "crossing")
-    if 0.0 < fs[-1] <= window and fs[-1] <= fs[-2]:
+    if fs[-1] <= fs[-2] and low(n - 2):
         hit = _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, np.inf)
         if hit is not None:
             return hit
     k = int(np.argmin(fs))
     return RootHit(float(ts[k]), float(fs[k]), "none")
+
+
+def start_bound(f, lipschitz, n=N - 1):
+    """A positive lower bound on f(0) no larger than the window of a scan of
+    [0, 1] on n intervals: the scan then starts at index 0 with a first
+    block of ``_FIRST_BLOCK`` points, the schedule the block-edge cases are
+    built on."""
+    return min(float(np.asarray(f(np.zeros(1)))[0]), lipschitz / n)
 
 
 def grid(n=N):
@@ -126,8 +140,9 @@ CURVES = (
         pytest.param(lambda t: 40.0 * (1.0 - np.asarray(t)) ** 2 + 1e-10, id="endpoint-touch"),
         pytest.param(lambda t: 40.0 * (1.0 - np.asarray(t)) ** 2 + 0.5 * WINDOW,
                      id="endpoint-near-miss"),
-        # Not hunted: the endpoint sample is rising, or the sampled minimum
-        # is above the window (the dip breaks the Lipschitz bound).
+        # Not hunted: the endpoint sample is rising, or both interval floors
+        # of the sampled minimum clear 2 TOUCH_TOL (the dip breaks the
+        # Lipschitz bound).
         pytest.param(with_subgrid_dip(np.linspace(0.5e-3, 2e-3, N), N - 2), id="endpoint-rising"),
         pytest.param(with_subgrid_dip(2 * WINDOW + np.abs(grid() - grid()[64]), 64),
                      id="hidden-dip-64"),
@@ -142,16 +157,31 @@ CURVES = (
 @pytest.mark.parametrize("lipschitz", [LIP, None])
 @pytest.mark.parametrize("f", CURVES)
 def test_matches_full_grid_scan(f, lipschitz):
-    lipschitz = 0.0 if lipschitz is None else lipschitz  # None: no touch hunting
+    lipschitz = 4 * LIP if lipschitz is None else lipschitz  # None: a four times looser bound
     ref = full_grid_first_root(f, grid(), lipschitz)
-    assert first_root(f, 1.0, N - 1, lipschitz, XTOL, FTOL) == ref
+    assert first_root(f, 1.0, N - 1, lipschitz, XTOL, FTOL, start_bound(f, lipschitz)) == ref
+
+
+@pytest.mark.parametrize("f", [dip_at(300, 0.5 * WINDOW),
+                               lambda t: 40.0 * (1.0 - np.asarray(t)) ** 2 + 0.5 * WINDOW],
+                         ids=["interior", "endpoint"])
+def test_near_miss_dip_is_not_hunted(f, monkeypatch):
+    # The sampled minimum lies half a window above zero, and both interval
+    # floors, 20 STEP**2 = 1.3e-4, clear 2 TOUCH_TOL: no hunt.
+    hunted = []
+    hunt = _scan._touch_hunt
+    monkeypatch.setattr(_scan, "_touch_hunt", lambda f_batch, lo, hi, *args: (
+        hunted.append((lo, hi)) or hunt(f_batch, lo, hi, *args)))
+    hit = first_root(f, 1.0, N - 1, LIP, XTOL, FTOL, start_bound(f, LIP))
+    assert hit.kind == "none"
+    assert hunted == []
 
 
 @pytest.mark.parametrize("f, kind", [(crossing_at(i), "crossing") for i in EDGES]
                          + [(dip_at(i, 1e-10), "touch") for i in EDGES]
                          + [(dip_at(i, -1e-5, shift=0.5), "crossing") for i in EDGES])
 def test_block_edge_roots_are_found(f, kind):
-    hit = first_root(f, 1.0, N - 1, LIP, XTOL, FTOL)
+    hit = first_root(f, 1.0, N - 1, LIP, XTOL, FTOL, start_bound(f, LIP))
     assert hit.kind == kind
 
 
@@ -161,7 +191,7 @@ def test_block_edge_roots_are_found(f, kind):
 def test_grid_shorter_than_first_block(n, has_root):
     f = crossing_at(n - 1, n) if has_root else (lambda t: 1.0 + np.asarray(t))
     ref = full_grid_first_root(f, grid(n), LIP)
-    assert first_root(f, 1.0, n - 1, LIP, XTOL, FTOL) == ref
+    assert first_root(f, 1.0, n - 1, LIP, XTOL, FTOL, start_bound(f, LIP, n=n - 1)) == ref
     assert (ref.kind != "none") == has_root
 
 
@@ -181,7 +211,8 @@ def test_block_cap_is_respected():
             sizes.append(np.size(t))
             return f(t)
 
-        assert first_root(counted, 1.0, n - 1, LIP, XTOL, FTOL) == full_grid_first_root(f, ts, LIP)
+        hit = first_root(counted, 1.0, n - 1, LIP, XTOL, FTOL, start_bound(f, LIP, n=n - 1))
+        assert hit == full_grid_first_root(f, ts, LIP)
         assert max(sizes) == _scan._MAX_BLOCK
 
 
@@ -195,7 +226,7 @@ def test_abscissae_are_the_linspace_grid(n, t_end):
         blocks.append(t.copy())
         return 1.0 + t
 
-    hit = first_root(rising, t_end, n, LIP, XTOL, FTOL)
+    hit = first_root(rising, t_end, n, LIP, XTOL, FTOL, min(1.0, LIP * t_end / n))
     assert hit == RootHit(0.0, 1.0, "none")
     # Bit for bit, so also at every block edge and at the last point.
     assert np.concatenate(blocks).tobytes() == np.linspace(0.0, t_end, n + 1).tobytes()
@@ -228,10 +259,12 @@ def test_touch_hunt_gives_up_once_the_dip_clears_the_tolerance():
 
 @pytest.mark.parametrize("f", [lambda t: np.asarray(t) - 0.5, lambda t: 0.0 * np.asarray(t)])
 def test_nonpositive_first_sample_raises(f):
+    # A start bound of one window claims a positive start that the curve
+    # breaks; the scan starts at index 0 and rejects that sample.
     with pytest.raises(ValueError):
-        full_grid_first_root(f, grid(), 0.0)
-    with pytest.raises(ValueError):
-        first_root(f, 1.0, N - 1, 0.0, XTOL, FTOL)
+        full_grid_first_root(f, grid(), LIP)
+    with pytest.raises(ValueError, match="scan must start at a strictly positive sample"):
+        first_root(f, 1.0, N - 1, LIP, XTOL, FTOL, WINDOW)
 
 
 class _Counter:
@@ -292,6 +325,37 @@ def test_qubit_t_perp_stops_at_first_root(monkeypatch):
     t = qubit.qubit_t_perp(np.pi / 2 - 0.001, 1.0, 1.05)
     assert t is not None
     counter.assert_stopped_early(t)
+
+
+def test_band_row_hunts_only_brackets_with_a_low_floor(monkeypatch):
+    # The near-degenerate row gamma = 1.4, delta/S = 1e-5 samples many shallow
+    # local minima; each one handed to the touch hunt has an interval floor
+    # (f_i + f_{i+1} - L h) / 2 of at most 2 TOUCH_TOL on the scan grid.
+    gamma, wa, wb = 1.4, 1.0 + 1e-5, 1.0 - 1e-5
+    scans, brackets = [], []
+    scan, hunt = qubit.first_root, _scan._touch_hunt
+
+    def recorded_scan(f_batch, t_end, n, lipschitz, *args, **kwargs):
+        scans.append((t_end, n, lipschitz))
+        return scan(f_batch, t_end, n, lipschitz, *args, **kwargs)
+
+    def recorded_hunt(f_batch, lo, hi, *args):
+        brackets.append((lo, hi))
+        return hunt(f_batch, lo, hi, *args)
+
+    monkeypatch.setattr(qubit, "first_root", recorded_scan)
+    monkeypatch.setattr(_scan, "_touch_hunt", recorded_hunt)
+    assert qubit.qubit_t_perp(gamma, wa, wb) is not None
+    ((t_end, n, lipschitz),) = scans
+    ts = np.linspace(0.0, t_end, n + 1)
+    lo = np.array([b[0] for b in brackets])
+    j = np.searchsorted(ts, lo) + 1  # the sampled minimum
+    assert j.size > 100 and (ts[j - 1] == lo).all()
+    fs = qubit.criterion(gamma, wa, wb, ts)
+    left = 0.5 * (fs[j - 1] + fs[j] - lipschitz * (ts[j] - ts[j - 1]))
+    inner = np.minimum(j + 1, n)
+    right = np.where(j < n, 0.5 * (fs[j] + fs[inner] - lipschitz * (ts[inner] - ts[j])), np.inf)
+    assert (np.minimum(left, right) <= 2.0 * TOUCH_TOL).all()
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +492,26 @@ def test_rootless_tie_goes_to_the_earlier_prefix_sample():
 @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 5])
 def test_prefix_covering_the_whole_grid(offset):
     # f0 - L t, rootless on [0, 1]; the start s = n + offset reaches the end
-    # of the grid: at n - 2 the endpoint, half a window above zero and
-    # falling, is hunted; at n - 1 two points are scanned, at n one, beyond
-    # none.  Every grid point is sampled, the skipped ones last.
+    # of the grid: at n - 2 the falling endpoint, half a window above zero,
+    # is a local minimum whose floor, also half a window, clears
+    # 2 TOUCH_TOL; at n - 1 two points are scanned, at n one, beyond none.
+    # Every grid point is sampled, the skipped ones last.
     n = 11
     f0 = f0_for_start(n + offset, n=n)
     f = lambda t: f0 - LIP * np.asarray(t, dtype=float)  # noqa: E731
     hit, ref, rec = scan_both(f, LIP, f0, n=n)
     assert hit == ref == RootHit(1.0, float(f(1.0)), "none")
     assert np.isin(np.linspace(0.0, 1.0, n + 1), rec.points()).all()
+
+
+def test_window_below_twice_the_touch_tolerance_certifies_nothing():
+    # Slope bound 1e-9 on 10 intervals: with a window of 1e-10 every floor
+    # stays near zero, and the dip to 5e-10 at t = 0.5, a touch, lies where
+    # f0 - L t alone would clear the grid.
+    f = lambda t: 5e-10 + 1e-9 * np.abs(np.asarray(t, dtype=float) - 0.5)  # noqa: E731
+    hit, ref, rec = scan_both(f, 1e-9, 1e-9, n=10)
+    assert hit == ref and hit.kind == "touch" and hit.t == pytest.approx(0.5)
+    assert rec.points().min() == 0.0
 
 
 def test_rootless_prefix_longer_than_the_block_cap():

@@ -1,0 +1,127 @@
+"""Output fingerprint of the package: one ``name sha256`` line per artifact.
+
+    python3 tools/fingerprint.py
+
+Runs the checkout's own ``src/`` and prints a digest of each of:
+
+* the case summaries of the three perfbench workloads at seeds 1, 7 and 201
+  (``perfbench/workloads.py`` is imported, never changed);
+* the stdout and exit code of ``fig1``, ``fig2``, ``verify-theorem --trials
+  1000``, and of ``discriminate`` and ``bounds`` on the README's matrix and
+  qubit problems;
+* the ``repr`` of ``find_t_perp`` on 240 seeded pairs at d = 2-5;
+* the ``repr`` of ``qubit_t_perp`` on 600 seeded rows, with delta/S down to
+  1e-5 and gamma near pi/2.
+
+A change that keeps every output bit for bit prints the same lines as its
+parent; run the script in both checkouts and compare.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# One BLAS thread, as in perfbench/run.py, so that no digest depends on the
+# thread count of the machine.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from orthotime import cli, discriminate, qubit  # noqa: E402
+
+SEEDS = (1, 7, 201)
+MATRIX_PROBLEM = {"dim": 2,
+                  "H_a": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                  "H_b": [[[-1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+QUBIT_PROBLEM = {"qubit": {"omega_a": 3.0, "omega_b": 1.0, "gamma": math.pi}}
+PAIRS_PER_DIM = 60
+QUBIT_ROWS = 600
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def workload_summaries(name: str, seed: int) -> str:
+    """The repr of every case's summary, or of the exception it raised."""
+    workload = workloads.WORKLOADS[name](seed)
+    lines = []
+    for case in workload.cases:
+        try:
+            lines.append(repr(workload.summary(workload.run(case))))
+        except Exception as exc:  # a failing case is part of the output
+            lines.append(repr(exc))
+    return "\n".join(lines)
+
+
+def cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return f"{out.getvalue()}exit {code}\n"
+
+
+def find_t_perp_reprs() -> str:
+    rng = np.random.default_rng(20260101)
+    lines = []
+    for dim in range(2, 6):
+        for _ in range(PAIRS_PER_DIM):
+            ha, hb = (workloads._hermitian(rng, dim) for _ in range(2))
+            lines.append(repr(discriminate.find_t_perp(ha, hb)))
+    return "\n".join(lines)
+
+
+def qubit_t_perp_reprs() -> str:
+    """Rows with delta/S log-uniform over [1e-5, 1], every third with gamma
+    within 1e-3 of pi/2 and the rest uniform over [0, pi]."""
+    rng = np.random.default_rng(20260102)
+    lines = []
+    for k in range(QUBIT_ROWS):
+        rel = 10.0 ** rng.uniform(-5.0, 0.0)
+        gamma = (math.pi / 2 + rng.uniform(-1e-3, 1e-3) if k % 3 == 0
+                 else rng.uniform(0.0, math.pi))
+        total = rng.uniform(0.5, 4.0)
+        wa, wb = 0.5 * total * (1.0 + rel), 0.5 * total * (1.0 - rel)
+        lines.append(repr(qubit.qubit_t_perp(gamma, wa, wb)))
+    return "\n".join(lines)
+
+
+def artifacts():
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            yield f"{name}.seed{seed}", lambda name=name, seed=seed: workload_summaries(name, seed)
+    yield "cli.fig1", lambda: cli_stdout(["fig1"])
+    yield "cli.fig2", lambda: cli_stdout(["fig2"])
+    yield "cli.verify-theorem", lambda: cli_stdout(["verify-theorem", "--trials", "1000"])
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, problem in (("matrix", MATRIX_PROBLEM), ("qubit", QUBIT_PROBLEM)):
+            path = os.path.join(tmp, f"{label}.json")
+            with open(path, "w") as fh:
+                json.dump(problem, fh)
+            for command in ("discriminate", "bounds"):
+                yield (f"cli.{command}.{label}",
+                       lambda command=command, path=path: cli_stdout([command, "--input", path]))
+        yield "find_t_perp.d2-5", find_t_perp_reprs
+        yield "qubit_t_perp.rows", qubit_t_perp_reprs
+
+
+def main() -> int:
+    for name, make in artifacts():
+        print(name, _digest(make()), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
