@@ -17,6 +17,7 @@ Three bounds, in consistent hbar = 1 units:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,27 +25,27 @@ import numpy as np
 from . import discriminate, linalg
 from .errors import CutProximityError, DimensionMismatchError
 
-RADICAND_FLOOR = -1e-14
 COMMON_EIGENVECTOR_TOL = 1e-12  # dE_a + dE_b, relative to ||ha||_F + ||hb||_F
 
 
 def energy_uncertainty(h, psi) -> float:
-    """Standard deviation sqrt(<H^2> - <H>^2) of h in the unit vector psi.
+    """Standard deviation ||(h - <h>) psi|| of h in the unit vector psi.
 
-    Zero exactly when psi is an eigenvector; tiny negative radicands from
-    roundoff are clamped to zero.
+    Zero exactly when psi is an eigenvector.  The residual norm has no
+    radicand <H^2> - <H>^2 to cancel, and ``_norm`` neither under- nor
+    overflows, so the result keeps the scale of h.
     """
     h = linalg.assert_hermitian(h, name="h")
     psi = linalg.as_unit_state(psi, h.shape[0])
     hpsi = h @ psi
-    mean = float((psi.conj() @ hpsi).real)
-    second = float((hpsi.conj() @ hpsi).real)
-    rad = second - mean * mean
-    if rad < 0.0:
-        if rad < RADICAND_FLOOR * max(1.0, second):
-            raise ValueError("variance radicand negative beyond roundoff")
-        rad = 0.0
-    return float(np.sqrt(rad))
+    mean = (psi.conj() @ hpsi).real
+    return _norm(hpsi - mean * psi)
+
+
+def _norm(x) -> float:
+    """2-norm of the entries of x; ``math.hypot`` scales, so squares of tiny
+    or huge entries neither underflow nor overflow."""
+    return math.hypot(*np.abs(x).ravel().tolist())
 
 
 def aa_lower_bound(ha, hb, psi) -> float:
@@ -55,8 +56,7 @@ def aa_lower_bound(ha, hb, psi) -> float:
 
 def _aa_bound(ha, hb, da: float, db: float) -> float:
     total = da + db
-    scale = linalg.frobenius(ha) + linalg.frobenius(hb)
-    if total <= COMMON_EIGENVECTOR_TOL * max(scale, 1e-300):
+    if total <= COMMON_EIGENVECTOR_TOL * (_norm(ha) + _norm(hb)):
         raise ValueError(
             "state is an eigenvector of both operators; it cannot discriminate them"
         )

@@ -10,19 +10,21 @@ Eigenphases follow the half-open convention (-pi, pi]; a tie at -pi is
 remapped to +pi.  All functions are pure and never modify their inputs, so
 they are safe to call concurrently.
 
-The eigenframe of a unitary comes from a Hermitian eigensolver, through the
-Cayley transform K = i (1 - V)(1 + V)^{-1} of the rotated unitary
-V = e^{i s} U: K is Hermitian with the eigenvectors of U, and an eigenvalue
-e^{i phi} of V becomes tan(phi/2) (Golub and Van Loan, *Matrix
-Computations*).  The rotation s puts -1 at the middle of the largest empty
-arc between the eigenphases, so every eigenvalue of V is at least half that
-arc, and so at least pi/d, away from -1, which bounds the conditioning:
-||(1 + V)^{-1}||_2 <= 1 / (2 sin(pi/2d)).  The module needs numpy only.
+One Cayley step, ``_cayley``, turns a stack of unitaries into Hermitian
+matrices: K = i (1 - V)(1 + V)^{-1} = i (X - X*) with X = (1 + V)^{-1}, for
+the rotated unitary V = e^{i turn} U.  K has the eigenvectors of U, and an
+eigenvalue e^{i phi} of V becomes kappa = tan(phi/2) (Golub and Van Loan,
+*Matrix Computations*), so a Hermitian eigensolver gives both the phases
+and an orthonormal frame.  The step is well conditioned when no eigenvalue
+of V is near -1: ||X||_2 = sqrt(1 + kappa_max^2) / 2.  ``unitary_eig``
+takes its frame from it, with -1 at the middle of the largest empty arc
+between the eigenphases, at least pi/d away from every eigenvalue, so
+||X||_2 <= 1 / (2 sin(pi/2d)); the gap scan in ``discriminate`` takes its
+phases from it.  The module needs numpy only.
 """
 
 from __future__ import annotations
 
-import cmath
 from typing import NamedTuple
 
 import numpy as np
@@ -134,10 +136,22 @@ def frobenius(m) -> float:
 
 def assert_hermitian(h, name: str = "matrix") -> np.ndarray:
     """Return ``h`` as a complex array, or raise unless
-    ||h - h*||_F <= ``HERMITICITY_TOL`` ||h||_F (so NaN or Inf entries raise)."""
+    ||h - h*||_F <= ``HERMITICITY_TOL`` ||h||_F (so NaN or Inf entries raise).
+
+    The test is scale-free: when ||h||_F lies outside [1e-100, 1e100], where
+    the squares of the entries or of the tolerated defect could under- or
+    overflow, both norms are taken of h / max|h_jk| instead.
+    """
     h = as_square_matrix(h, name)
-    with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails here
-        if not np.linalg.norm(h - h.conj().T) <= HERMITICITY_TOL * np.linalg.norm(h):
+    unit = h
+    with np.errstate(over="ignore", invalid="ignore"):  # inf entries give NaN, which fails here
+        size = np.linalg.norm(h)
+        if not 1e-100 <= size <= 1e100:
+            scale = np.abs(h).max()
+            if scale > 0.0:  # real divisions: a complex one overflows on a subnormal scale
+                unit = h.real / scale + 1j * (h.imag / scale)
+            size = np.linalg.norm(unit)
+        if not np.linalg.norm(unit - unit.conj().T) <= HERMITICITY_TOL * size:
             raise NonHermitianError(f"{name} fails the Hermiticity tolerance {HERMITICITY_TOL}")
     return h
 
@@ -170,25 +184,22 @@ def unitary_eig(u) -> EigenSystem:
 
     The phases come from ``np.linalg.eigvals``, as in ``unitary_phases``,
     and locate the largest empty arc, of length a >= 2 pi/d, which starts
-    at phase k.  U is rotated to V = e^{i s} U, with s = pi minus the arc's
-    middle, so that 1 + V has singular values >= 2 sin(a/4) >= 2 sin(pi/2d).
-    The frame is the eigenbasis from ``np.linalg.eigh`` of the Hermitian
-    part of the Cayley transform K = i (1 - V)(1 + V)^{-1}, which is
-    i (X - X*) for X = (1 + V)^{-1}.  K has the eigenvalue tan(phi/2) for
-    each eigenvalue e^{i phi} of V, an increasing map, so ``eigh``'s
-    ascending order is the circular order of the phases starting after the
-    arc, at phase k + 1; degenerate phases keep an orthonormal frame, which
-    a generic eigensolver does not give.  The result must reproduce ``u``
-    within ``RECONSTRUCTION_TOL`` times max(||u||_F, 1); otherwise
-    ``ConvergenceError`` is raised.
+    at phase k.  The Cayley step ``_cayley`` turns by pi minus the arc's
+    middle, so that 1 + V has singular values >= 2 sin(a/4) >=
+    2 sin(pi/2d), and the frame is the eigenbasis from ``np.linalg.eigh`` of
+    its K.  K has the eigenvalue tan(phi/2) for each eigenvalue e^{i phi} of
+    V, an increasing map, so ``eigh``'s ascending order is the circular
+    order of the phases starting after the arc, at phase k + 1; degenerate
+    phases keep an orthonormal frame, which a generic eigensolver does not
+    give.  The result must reproduce ``u`` within ``RECONSTRUCTION_TOL``
+    times max(||u||_F, 1); otherwise ``ConvergenceError`` is raised.
     """
     u = assert_unitary(u)
     d = u.shape[0]
     try:
         phases = np.sort(_principal_phases(np.linalg.eigvals(u)))
         (arc,), (k,) = _largest_arc(phases[None])
-        x = np.linalg.inv(cmath.exp(1j * float(np.pi - phases[k] - 0.5 * arc)) * u + np.eye(d))
-        _, vectors = np.linalg.eigh(1j * (x - x.conj().T))
+        _, vectors = np.linalg.eigh(_cayley(u, np.pi - phases[k] - 0.5 * arc))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceError(f"unitary eigensolver failed: {exc}") from exc
     vectors = vectors[:, np.arange(-k - 1, d - k - 1)]  # column j holds phase j
@@ -196,6 +207,27 @@ def unitary_eig(u) -> EigenSystem:
     if np.linalg.norm(recon - u) > RECONSTRUCTION_TOL * max(np.linalg.norm(u), 1.0):
         raise ConvergenceError("eigendecomposition failed to reproduce the input unitary")
     return EigenSystem(phases, vectors)
+
+
+def _cayley(u, turn) -> np.ndarray:
+    """K = i (X - X*) with X = (1 + e^{i turn} U)^{-1}, for a unitary U or a
+    stack of them and one turn per matrix; K is exactly Hermitian.
+
+    numpy fails a whole stacked inverse for one singular matrix, so the
+    stack is then inverted matrix by matrix, and a singular matrix gives a
+    K of NaN.
+    """
+    a = np.exp(1j * np.asarray(turn))[..., None, None] * u + np.eye(u.shape[-1])
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        x = np.full_like(a, np.nan)
+        for i in np.ndindex(a.shape[:-2]):
+            try:
+                x[i] = np.linalg.inv(a[i])
+            except np.linalg.LinAlgError:
+                pass
+    return 1j * (x - np.swapaxes(x.conj(), -1, -2))
 
 
 def unitary_phases(u) -> np.ndarray:

@@ -14,6 +14,7 @@ finite time, which ``qubit_t_perp`` reports as None.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -170,10 +171,11 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
 
 def mean_energy_bar(omega_a: float, omega_b: float, cos_gamma: float) -> float:
     """Average energy of the frequency-difference field (wa ra - wb rb).sigma
-    with its lower level shifted to zero:
-    sqrt(wa^2 + wb^2 - 2 wa wb cos_gamma)."""
-    rad = omega_a**2 + omega_b**2 - 2.0 * omega_a * omega_b * cos_gamma
-    return float(np.sqrt(max(rad, 0.0)))
+    with its lower level shifted to zero: |wa ra - wb rb| =
+    hypot(wa - wb cos_gamma, wb sin_gamma), which neither under- nor
+    overflows at extreme frequency scales."""
+    sin_gamma = math.sqrt(max(1.0 - cos_gamma * cos_gamma, 0.0))
+    return math.hypot(omega_a - omega_b * cos_gamma, omega_b * sin_gamma)
 
 
 def equatorial_state(axis, alpha: float = 0.0) -> np.ndarray:

@@ -27,6 +27,12 @@ class TestEnergyUncertainty:
             expected = np.sqrt(max(p @ values**2 - (p @ values) ** 2, 0.0))
             assert_allclose(bounds.energy_uncertainty(h, psi), expected, atol=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-305, 1e200])
+    def test_keeps_the_scale_of_h(self, scale):
+        # <H^2> - <H>^2 underflows to 0 at 1e-305 and overflows at 1e200.
+        psi = np.array([1.0, 1.0], complex) / np.sqrt(2.0)
+        assert_allclose(bounds.energy_uncertainty(scale * SZ, psi), scale, rtol=1e-15)
+
 
 class TestAaLowerBound:
     def test_opposite_fields_equatorial_state(self):
@@ -36,6 +42,12 @@ class TestAaLowerBound:
         # equals the exact orthogonality time of this pair
         out = find_t_perp(SZ, -SZ)
         assert_allclose(got, out.t_perp, rtol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-305, 1e200])
+    def test_extreme_scales(self, scale):
+        psi = np.array([1.0, 1.0], complex) / np.sqrt(2.0)
+        assert_allclose(bounds.aa_lower_bound(scale * SZ, -scale * SZ, psi),
+                        np.pi / (4.0 * scale), rtol=1e-15)
 
     def test_shared_eigenvector_raises(self):
         psi = np.array([1.0, 0.0], complex)
@@ -81,6 +93,13 @@ class TestMargolusBound:
         assert_allclose(e_bar, 2.0)
         assert_allclose(bounds.margolus_bound(e_bar), qubit.qubit_t_perp(0.0, 3.0, 1.0),
                         rtol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e-305, 1.0, 1e200])
+    def test_mean_energy_bar_at_extreme_scales(self, scale):
+        assert_allclose(qubit.mean_energy_bar(3.0 * scale, scale, 1.0), 2.0 * scale, rtol=1e-15)
+        assert_allclose(qubit.mean_energy_bar(scale, scale, 0.0), np.sqrt(2.0) * scale,
+                        rtol=1e-15)
+        assert_allclose(qubit.mean_energy_bar(scale, scale, -1.0), 2.0 * scale, rtol=1e-15)
 
     def test_zero_energy_raises(self):
         with pytest.raises(ValueError, match="average energy must be positive"):

@@ -281,6 +281,23 @@ class TestFigureSweeps:
             row = line.split(",")
             assert abs(float(row[1]) - float(row[5])) <= 1e-10
 
+    @pytest.mark.parametrize("omega_sum", ["2e-305", "2e200"])
+    def test_fig1_at_extreme_frequency_scales(self, capsys, omega_sum):
+        # Every time scales as 1 / omega_sum; the normalized time does not.
+        argv = ["fig1", "--r-min", "0.001", "--r-max", "0.001", "--points", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        base = out.strip().split("\n")[1].split(",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv + ["--omega-sum", omega_sum], capsys)
+        assert code == 0 and err == ""
+        row = out.strip().split("\n")[1].split(",")
+        assert row[2] == base[2] and row[6] == base[6] == "true"
+        for col in (1, 3, 4, 5):
+            assert_allclose(float(row[col]), float(base[col]) * 2.0 / float(omega_sum),
+                            rtol=1e-12)
+
     def test_fig1_bad_range(self, capsys):
         code, _, err = run_cli(["fig1", "--r-min", "0.0"], capsys)
         assert code == 1

@@ -576,3 +576,109 @@ class TestCertifiedStart:
         s = _certified_start(1.0, a * abs(wa - wb) + b * (wa + wb), step)
         assert s > 0
         assert np.concatenate(ts_seen).min() == s * step
+
+
+def _cayley_kappa_max(u):
+    """max|kappa| of each row of the trace-antipode Cayley step."""
+    kappa = np.linalg.eigvalsh(linalg._cayley(u, -np.angle(np.trace(u, axis1=1, axis2=2))))
+    return np.abs(kappa).max(axis=1)
+
+
+def _record_eigvals(monkeypatch):
+    """Patch ``np.linalg.eigvals`` to keep a copy of every input."""
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(np.array(m)) or eigvals(m))
+    return calls
+
+
+class TestCayleyPhases:
+    """``phases_grid`` takes batch phases from the trace-antipode Cayley step
+    and sends ill-conditioned rows to ``np.linalg.eigvals``."""
+
+    EPS = np.finfo(float).eps
+
+    def bound(self, u):
+        """The Cayley step's derived phase error eps (1 + kappa_max^2) per
+        row, plus 4 d eps for the round-off of eigvals itself."""
+        return self.EPS * (1.0 + _cayley_kappa_max(u) ** 2) + 4 * u.shape[-1] * self.EPS
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 8, 12, 16])
+    def test_matches_sorted_eigvals_within_the_derived_bound(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        ha, hb = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        out = find_t_perp(ha, hb)
+        assert isinstance(out, DiscriminationResult)
+        pair = discriminate._EvolutionPair(ha, hb)
+        ts = np.linspace(0.0, 3.0 * out.t_perp, 61)
+        u = pair.product_grid(ts)
+        got, ref = pair.phases_grid(ts), discriminate._eig_phases(u)
+        assert np.pi - np.abs(ref).max() > 1e-9  # no phase near the cut, where rows may wrap
+        assert np.all(np.abs(got - ref).max(axis=1) <= self.bound(u))
+        g = linalg._largest_arc(ref)[0] - np.pi
+        assert (g < 0).sum() >= 10 and (g > 0).sum() >= 10  # samples on both sides of the root
+        kappa_max = _cayley_kappa_max(u)
+        assert np.any(kappa_max[g < 0] <= discriminate.CAYLEY_KAPPA_MAX)  # exact past the root
+
+    def test_rows_over_the_kappa_bound_take_the_eigvals_route(self, monkeypatch):
+        rng = np.random.default_rng(708)
+        pair = discriminate._EvolutionPair(random_hermitian(rng, 8), random_hermitian(rng, 8))
+        ts = np.linspace(0.0, 2.0, 41)
+        u = pair.product_grid(ts)
+        kappa_max = _cayley_kappa_max(u)
+        cut = float(np.median(kappa_max))
+        monkeypatch.setattr(discriminate, "CAYLEY_KAPPA_MAX", cut)
+        calls = _record_eigvals(monkeypatch)
+        got = pair.phases_grid(ts)
+        referred = kappa_max > cut
+        assert 0 < referred.sum() < len(ts)
+        assert len(calls) == 1 and np.array_equal(calls[0], u[referred])
+        assert np.all(np.abs(got - discriminate._eig_phases(u)).max(axis=1) <= self.bound(u))
+
+    @staticmethod
+    def stack_pair(rows):
+        """A d = 4 pair whose product grid is replaced by ``rows`` after two
+        generic rows."""
+        rng = np.random.default_rng(709)
+        pair = discriminate._EvolutionPair(random_hermitian(rng, 4), random_hermitian(rng, 4))
+        generic = discriminate._EvolutionPair.product_grid(pair, [0.6, 1.7])
+        stack = np.concatenate([generic, np.array(rows, dtype=complex)])
+        pair.product_grid = lambda ts: stack
+        return pair, stack
+
+    def test_singular_row_takes_its_eigvals_phases(self, monkeypatch):
+        # 1 + e^{-i arg tr U} U is exactly singular for U = diag(-1, 1, 1, 1),
+        # which makes numpy's stacked inverse fail for every row.
+        pair, stack = self.stack_pair([np.diag([-1.0, 1.0, 1.0, 1.0])])
+        calls = _record_eigvals(monkeypatch)
+        got = pair.phases_grid([0.6, 1.7, 2.0])
+        assert len(calls) == 1 and np.array_equal(calls[0], stack[2:])
+        assert np.array_equal(got[2], [0.0, 0.0, 0.0, np.pi])
+        assert np.all(np.abs(got[:2] - discriminate._eig_phases(stack[:2])).max(axis=1)
+                      <= self.bound(stack[:2]))
+
+    def test_trace_zero_row_takes_the_eigvals_route(self, monkeypatch):
+        # tr U = 0 leaves no antipode; the Cayley step would be well conditioned here.
+        pair, stack = self.stack_pair([np.diag([1j, -1j, 1j, -1j])])
+        calls = _record_eigvals(monkeypatch)
+        got = pair.phases_grid([0.6, 1.7, 2.0])
+        assert len(calls) == 1 and np.array_equal(calls[0], stack[2:])
+        assert_allclose(got[2], [-np.pi / 2, -np.pi / 2, np.pi / 2, np.pi / 2], atol=1e-15)
+
+    def test_one_time_call_takes_the_eigvals_route(self, monkeypatch):
+        rng = np.random.default_rng(710)
+        pair = discriminate._EvolutionPair(random_hermitian(rng, 5), random_hermitian(rng, 5))
+        calls = _record_eigvals(monkeypatch)
+        got = pair.phases_grid([0.9])
+        assert len(calls) == 1 and calls[0].shape == (1, 5, 5)
+        assert np.array_equal(got, discriminate._eig_phases(pair.product_grid([0.9])))
+
+    @pytest.mark.parametrize("case", range(16))
+    def test_gap_scan_pairs_call_eigvals_on_one_matrix_at_a_time(self, monkeypatch, case):
+        # With -1 at the trace's antipode, no block sample of these pairs
+        # falls back; eigvals sees only the one-time refinement calls and
+        # unitary_eig's single matrix.
+        calls = _record_eigvals(monkeypatch)
+        out = find_t_perp(*_gap_scan_pairs()[case])
+        assert isinstance(out, DiscriminationResult)
+        assert calls and all(m.ndim == 2 or len(m) == 1 for m in calls)

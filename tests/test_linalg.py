@@ -42,6 +42,17 @@ class TestHermEig:
         with pytest.raises(NonHermitianError):
             linalg.herm_eig(np.array([[0, 1], [0, 0]], complex))
 
+    @pytest.mark.parametrize("bad", [np.inf, 1e200, 1e-200, 5e-324])
+    def test_rejects_a_lone_off_diagonal_entry_at_any_scale(self, bad):
+        # Squares of the entries overflow or underflow outside [1e-100, 1e100].
+        with pytest.raises(NonHermitianError, match="fails the Hermiticity tolerance"):
+            linalg.assert_hermitian(np.array([[0, bad], [0, 0]], complex))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e200, 1e-200, 5e-324, 0.0])
+    def test_accepts_hermitian_matrices_at_any_scale(self, scale):
+        h = scale * np.array([[1, 1j], [-1j, -1]])
+        assert linalg.assert_hermitian(h) is not None
+
 
 class TestUnitaryEig:
     def test_identity(self):
