@@ -17,7 +17,6 @@ Three bounds, in consistent hbar = 1 units:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,20 +31,14 @@ def energy_uncertainty(h, psi) -> float:
     """Standard deviation ||(h - <h>) psi|| of h in the unit vector psi.
 
     Zero exactly when psi is an eigenvector.  The residual norm has no
-    radicand <H^2> - <H>^2 to cancel, and ``_norm`` neither under- nor
-    overflows, so the result keeps the scale of h.
+    radicand <H^2> - <H>^2 to cancel, and ``linalg.frobenius`` neither
+    under- nor overflows, so the result keeps the scale of h.
     """
     h = linalg.assert_hermitian(h, name="h")
     psi = linalg.as_unit_state(psi, h.shape[0])
     hpsi = h @ psi
     mean = (psi.conj() @ hpsi).real
-    return _norm(hpsi - mean * psi)
-
-
-def _norm(x) -> float:
-    """2-norm of the entries of x; ``math.hypot`` scales, so squares of tiny
-    or huge entries neither underflow nor overflow."""
-    return math.hypot(*np.abs(x).ravel().tolist())
+    return linalg.frobenius(hpsi - mean * psi)
 
 
 def aa_lower_bound(ha, hb, psi) -> float:
@@ -56,7 +49,7 @@ def aa_lower_bound(ha, hb, psi) -> float:
 
 def _aa_bound(ha, hb, da: float, db: float) -> float:
     total = da + db
-    if total <= COMMON_EIGENVECTOR_TOL * (_norm(ha) + _norm(hb)):
+    if total <= COMMON_EIGENVECTOR_TOL * (linalg.frobenius(ha) + linalg.frobenius(hb)):
         raise ValueError(
             "state is an eigenvector of both operators; it cannot discriminate them"
         )

@@ -159,7 +159,7 @@ def _parse_axis(obj, field: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != 3:
         raise ValueError(f"{field} must be a 3-vector")
     a = np.array([_as_number(x, f"{field}[{k}]") for k, x in enumerate(obj)], dtype=float)
-    norm = np.linalg.norm(a)
+    norm = linalg.frobenius(a)
     if norm == 0.0:
         raise ValueError(f"{field} must be a nonzero 3-vector")
     return a / norm

@@ -21,12 +21,9 @@ and g >= 0 touches zero without crossing, so the engine instead tracks twice
 the paper's spin-1/2 criterion (``_EvolutionPair.trace_margin``), which
 vanishes transversally exactly at the antipodal instants.
 
-The scan's batches take their eigenphases from a Hermitian eigensolver:
-``_EvolutionPair.phases_grid`` applies the Cayley step ``linalg._cayley``
-with -1 turned to the antipode of tr U and maps each eigenvalue kappa back
-to a phase.  Its error is about eps (1 + kappa_max^2), so a row whose
-max|kappa| exceeds ``CAYLEY_KAPPA_MAX``, whose trace is 0 or whose inverse
-is singular goes to ``np.linalg.eigvals`` instead, as do one-time calls.
+The scan's batches take their eigenphases from ``linalg._batch_phases``,
+the Cayley route with -1 turned to the antipode of tr U; ``linalg`` states
+its error bound and its fallback to ``np.linalg.eigvals``.
 """
 
 from __future__ import annotations
@@ -40,9 +37,6 @@ from ._scan import SCAN_POINTS, first_root
 from .errors import ConvergenceError
 
 GAP_FTOL = 1e-11
-# Largest |kappa| of a Cayley phase row: its phase error is about
-# eps (1 + kappa_max^2), 8.9e-12 at 200, below GAP_FTOL (see phases_grid).
-CAYLEY_KAPPA_MAX = 200.0
 HORIZON_SPANS = 100  # default t_max, in span lower bounds pi/L
 REFINE_REL_TOL = 1e-10  # crossing-time tolerance, relative to t_max
 LIPSCHITZ_SLACK = 1e-6  # relative slack on L in the continuity check of a margin batch
@@ -188,41 +182,9 @@ class _EvolutionPair:
         return PhaseSpectrum(float(t), phases, self.vb @ z)
 
     def phases_grid(self, ts) -> np.ndarray:
-        """Ascending eigenphases of U(t) in (-pi, pi], one row per time.
-
-        A batch of two or more times takes them from ``np.linalg.eigvalsh``
-        of the Cayley step ``linalg._cayley`` turned by -arg tr U, which puts
-        -1 at the antipode of the trace; each eigenvalue kappa gives the
-        phase 2 arctan kappa - turn, so the whole spectrum is there and g of
-        either sign is exact.  When g > 0 the antipode lies in the largest
-        empty arc, at least g from every phase, since tr U / d lies in the
-        convex hull of the eigenvalues.  The step's inverse X has
-        ||X||_2 = sqrt(1 + kappa_max^2) / 2 and a backward-stable inverse
-        errs by about eps ||X||^2, so K errs by about eps (1 + kappa_max^2) / 2,
-        each kappa by no more (Weyl), and each phase, as d phi / d kappa <= 2,
-        by about eps (1 + kappa_max^2).  A row goes to ``np.linalg.eigvals`` when
-        tr U = 0, when its inverse is singular or not finite, or when
-        max|kappa| exceeds ``CAYLEY_KAPPA_MAX``; so does a one-time call,
-        where the Cayley step costs more than it saves.
-        """
-        u = self.product_grid(ts)
-        if len(u) == 1:
-            return _eig_phases(u)
-        trace = np.trace(u, axis1=1, axis2=2)
-        turn = -np.angle(trace)
-        k = linalg._cayley(u, turn)
-        singular = ~np.isfinite(k).all(axis=(1, 2))
-        k[singular] = 0.0
-        kappa = np.linalg.eigvalsh(k)
-        phases = 2.0 * np.arctan(kappa) - turn[:, None]  # in (-2 pi, 2 pi)
-        phases = np.where(phases > np.pi, phases - 2.0 * np.pi, phases)
-        phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
-        refer = (singular | (trace == 0.0)
-                 | ~(np.maximum(-kappa[:, 0], kappa[:, -1]) <= CAYLEY_KAPPA_MAX))
-        if refer.any():
-            phases[refer] = _eig_phases(u[refer])
-        phases.sort(axis=1)
-        return phases
+        """Ascending eigenphases of U(t) in (-pi, pi], one row per time, from
+        the scan's phase route ``linalg._batch_phases``."""
+        return linalg._batch_phases(self.product_grid(ts))
 
     def _checked(self, ts, values) -> np.ndarray:
         """``values``, unless two adjacent samples of the batch (a grid block or
@@ -254,14 +216,6 @@ class _EvolutionPair:
     def gap_margin_from_trace(c) -> np.ndarray:
         half = np.arccos(np.clip(np.asarray(c, dtype=float) / 2.0, -1.0, 1.0))
         return np.pi - 2.0 * np.minimum(half, np.pi - half)
-
-
-def _eig_phases(u) -> np.ndarray:
-    """Eigenphases of a stack of unitaries from ``np.linalg.eigvals``, each
-    row ascending in (-pi, pi]."""
-    phases = linalg._principal_phases(np.linalg.eigvals(u))
-    phases.sort(axis=1)
-    return phases
 
 
 def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):

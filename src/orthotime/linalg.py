@@ -19,12 +19,22 @@ and an orthonormal frame.  The step is well conditioned when no eigenvalue
 of V is near -1: ||X||_2 = sqrt(1 + kappa_max^2) / 2.  ``unitary_eig``
 takes its frame from it, with -1 at the middle of the largest empty arc
 between the eigenphases, at least pi/d away from every eigenvalue, so
-||X||_2 <= 1 / (2 sin(pi/2d)); the gap scan in ``discriminate`` takes its
-phases from it.  The module needs numpy only.
+||X||_2 <= 1 / (2 sin(pi/2d)).  ``_batch_phases``, the gap scan's phase
+route, turns -1 to the antipode of tr U instead; a backward-stable inverse
+errs by about eps ||X||_2^2, so each phase errs by about
+eps (1 + kappa_max^2), and a row whose max|kappa| exceeds
+``CAYLEY_KAPPA_MAX`` takes ``np.linalg.eigvals`` instead.
+
+This is the package's one home for eigensolvers and norms: every
+eigenphase comes from ``unitary_phases`` (checked, one matrix or a stack),
+``unitary_eig`` (with a frame) or the scan's unchecked ``_batch_phases``,
+and every matrix norm that must keep its scale from ``frobenius``.  The
+module needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +53,9 @@ RECONSTRUCTION_TOL = 1e-10
 STATE_NORM_TOL = 1e-10
 CUT_GUARD = 1e-9
 COINCIDENT_TOL = 1e-12
+# Largest |kappa| of a Cayley phase row in ``_batch_phases``: its phase error
+# is about eps (1 + kappa_max^2), 8.9e-12 at 200, below discriminate.GAP_FTOL.
+CAYLEY_KAPPA_MAX = 200.0
 
 
 class EigenSystem(NamedTuple):
@@ -54,8 +67,14 @@ class EigenSystem(NamedTuple):
 
 
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
+    return _square_stack(m, name, ndim=2)
+
+
+def _square_stack(m, name: str, ndim: int | None = None) -> np.ndarray:
+    """``m`` as a complex array of square matrices, shape (..., d, d) with
+    d >= 1 and at least one matrix, and ``ndim`` axes if given."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or ndim not in (None, a.ndim) or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise DimensionMismatchError(
             f"{name} must be a square matrix, got shape {a.shape}"
         )
@@ -130,41 +149,35 @@ def as_unit_state(psi, dim: int) -> np.ndarray:
 
 
 def frobenius(m) -> float:
-    """Frobenius norm sqrt(sum |m_jk|^2); zero iff m is zero."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex)))
+    """Frobenius norm sqrt(sum |m_jk|^2); zero iff m is zero.  ``math.hypot``
+    scales internally, so squares of tiny or huge entries neither underflow
+    nor overflow; an infinite entry gives inf, even beside a NaN."""
+    return math.hypot(*np.abs(np.asarray(m, dtype=complex)).ravel().tolist())
 
 
 def assert_hermitian(h, name: str = "matrix") -> np.ndarray:
-    """Return ``h`` as a complex array, or raise unless
-    ||h - h*||_F <= ``HERMITICITY_TOL`` ||h||_F (so NaN or Inf entries raise).
-
-    The test is scale-free: when ||h||_F lies outside [1e-100, 1e100], where
-    the squares of the entries or of the tolerated defect could under- or
-    overflow, both norms are taken of h / max|h_jk| instead.
-    """
+    """Return ``h`` as a complex array, or raise unless ||h||_F is finite
+    (so NaN or Inf entries raise) and ||h - h*||_F <= ``HERMITICITY_TOL``
+    ||h||_F.  Both norms are ``frobenius``, so the test is scale-free."""
     h = as_square_matrix(h, name)
-    unit = h
-    with np.errstate(over="ignore", invalid="ignore"):  # inf entries give NaN, which fails here
-        size = np.linalg.norm(h)
-        if not 1e-100 <= size <= 1e100:
-            scale = np.abs(h).max()
-            if scale > 0.0:  # real divisions: a complex one overflows on a subnormal scale
-                unit = h.real / scale + 1j * (h.imag / scale)
-            size = np.linalg.norm(unit)
-        if not np.linalg.norm(unit - unit.conj().T) <= HERMITICITY_TOL * size:
+    with np.errstate(over="ignore"):  # a norm beyond the float range fails here
+        size = frobenius(h)
+        if not (size < np.inf and frobenius(h - h.conj().T) / HERMITICITY_TOL <= size):
             raise NonHermitianError(f"{name} fails the Hermiticity tolerance {HERMITICITY_TOL}")
     return h
 
 
 def assert_unitary(u, name: str = "matrix") -> np.ndarray:
     """Return ``u`` as a complex array, or raise unless
-    ||u* u - 1||_F <= ``UNITARITY_TOL`` (so NaN or Inf entries raise)."""
-    u = as_square_matrix(u, name)
+    ||u* u - 1||_F <= ``UNITARITY_TOL`` (so NaN or Inf entries raise); a
+    stack (..., d, d) is checked matrix by matrix."""
+    u = _square_stack(u, name)
     with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails here
-        defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if not defect <= UNITARITY_TOL:
+        defect = np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]),
+                                axis=(-2, -1))
+    if not np.all(defect <= UNITARITY_TOL):
         raise NonUnitaryError(
-            f"{name} fails the unitarity tolerance {UNITARITY_TOL} (defect {defect:.3e})"
+            f"{name} fails the unitarity tolerance {UNITARITY_TOL} (defect {defect.max():.3e})"
         )
     return u
 
@@ -194,10 +207,10 @@ def unitary_eig(u) -> EigenSystem:
     give.  The result must reproduce ``u`` within ``RECONSTRUCTION_TOL``
     times max(||u||_F, 1); otherwise ``ConvergenceError`` is raised.
     """
-    u = assert_unitary(u)
+    u = assert_unitary(as_square_matrix(u))
     d = u.shape[0]
     try:
-        phases = np.sort(_principal_phases(np.linalg.eigvals(u)))
+        phases = _eig_phases(u)
         (arc,), (k,) = _largest_arc(phases[None])
         _, vectors = np.linalg.eigh(_cayley(u, np.pi - phases[k] - 0.5 * arc))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -231,31 +244,76 @@ def _cayley(u, turn) -> np.ndarray:
 
 
 def unitary_phases(u) -> np.ndarray:
-    """Eigenphases of a unitary in (-pi, pi], ascending, from one eigenvalue
-    computation without eigenvectors.
+    """Eigenphases in (-pi, pi], ascending, of a unitary or of each matrix
+    of a stack (..., d, d), from one eigenvalue computation without
+    eigenvectors.
 
-    The computed spectrum must be consistent with ``u``: every eigenvalue of
-    modulus 1 and their sum equal to tr u, both within ``RECONSTRUCTION_TOL``
-    times max(||u||_F, 1); otherwise ``ConvergenceError`` is raised.  This is
-    the eigenvalue counterpart of the reconstruction check in
-    ``unitary_eig``.
+    Each matrix must pass ``assert_unitary``, and its computed spectrum must
+    be consistent with it: every eigenvalue of modulus 1 and their sum equal
+    to tr u, both within ``RECONSTRUCTION_TOL`` times max(||u||_F, 1);
+    otherwise ``ConvergenceError`` is raised.  This is the eigenvalue
+    counterpart of the reconstruction check in ``unitary_eig``.
     """
     u = assert_unitary(u)
     try:
         values = np.linalg.eigvals(u)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceError(f"eigenvalue solver failed: {exc}") from exc
-    limit = RECONSTRUCTION_TOL * max(np.linalg.norm(u), 1.0)
-    if not (np.max(np.abs(np.abs(values) - 1.0)) <= limit
-            and abs(values.sum() - np.trace(u)) <= limit):
+    limit = RECONSTRUCTION_TOL * np.maximum(np.linalg.norm(u, axis=(-2, -1)), 1.0)
+    if not (np.all(np.abs(np.abs(values) - 1.0).max(axis=-1) <= limit)
+            and np.all(np.abs(values.sum(axis=-1) - np.trace(u, axis1=-2, axis2=-1)) <= limit)):
         raise ConvergenceError("eigenvalues are inconsistent with the input unitary")
-    return np.sort(_principal_phases(values))
+    return _sorted_phases(values)
 
 
-def _principal_phases(values) -> np.ndarray:
-    """Arguments of ``values`` in (-pi, pi]; a tie at -pi maps to +pi."""
+def _eig_phases(u) -> np.ndarray:
+    """Ascending eigenphases in (-pi, pi] of a unitary or a stack of them,
+    from ``np.linalg.eigvals`` with no check: for matrices that are unitary
+    by construction."""
+    return _sorted_phases(np.linalg.eigvals(u))
+
+
+def _sorted_phases(values) -> np.ndarray:
+    """Arguments of ``values`` in (-pi, pi], ascending along the last axis;
+    a tie at -pi maps to +pi."""
     phases = np.angle(values)
-    return np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+    phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+    phases.sort(axis=-1)
+    return phases
+
+
+def _batch_phases(u) -> np.ndarray:
+    """Ascending eigenphases in (-pi, pi] of a stack of unitaries, one row
+    per matrix, unchecked: the gap scan's phase route.
+
+    A stack of two or more takes them from ``np.linalg.eigvalsh`` of the
+    Cayley step ``_cayley`` turned by -arg tr U, which puts -1 at the
+    antipode of the trace; each eigenvalue kappa gives the phase
+    2 arctan kappa - turn, so the whole spectrum is there and a gap margin
+    of either sign is exact.  When the largest empty arc exceeds pi, the
+    antipode lies in it, since tr U / d lies in the convex hull of the
+    eigenvalues.  A row goes to ``np.linalg.eigvals`` when tr U = 0, when
+    its inverse is singular or not finite, or when max|kappa| exceeds
+    ``CAYLEY_KAPPA_MAX`` (see the module docstring); so does a stack of
+    one, where the Cayley step costs more than it saves.
+    """
+    if len(u) == 1:
+        return _eig_phases(u)
+    trace = np.trace(u, axis1=1, axis2=2)
+    turn = -np.angle(trace)
+    k = _cayley(u, turn)
+    singular = ~np.isfinite(k).all(axis=(1, 2))
+    k[singular] = 0.0
+    kappa = np.linalg.eigvalsh(k)
+    phases = 2.0 * np.arctan(kappa) - turn[:, None]  # in (-2 pi, 2 pi)
+    phases = np.where(phases > np.pi, phases - 2.0 * np.pi, phases)
+    phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+    refer = (singular | (trace == 0.0)
+             | ~(np.maximum(-kappa[:, 0], kappa[:, -1]) <= CAYLEY_KAPPA_MAX))
+    if refer.any():
+        phases[refer] = _eig_phases(u[refer])
+    phases.sort(axis=1)
+    return phases
 
 
 def _largest_arc(phases) -> tuple[np.ndarray, np.ndarray]:

@@ -73,8 +73,8 @@ def check_subadditivity(u, v, seed: int | None = None) -> TheoremTrial:
     """Evaluate ||log(uv)||_F against ||log u||_F + ||log v||_F.
 
     Each norm is the 2-norm of the matrix's eigenphases, ||log U||_F =
-    ||theta||_2, from one ``linalg.unitary_phases`` call per matrix, so a
-    non-unitary u or v raises ``NonUnitaryError``.  Trials where either
+    ||theta||_2, from one stacked ``linalg.unitary_phases`` call over u, v
+    and uv, so a non-unitary u or v raises ``NonUnitaryError``.  Trials where either
     factor or the product carries an eigenphase within ``linalg.CUT_GUARD``
     of the branch point are skipped (the inequality's proof requires a
     cut-free path), not counted as violations.
@@ -82,7 +82,7 @@ def check_subadditivity(u, v, seed: int | None = None) -> TheoremTrial:
     u, v = linalg._square_pair(u, v, ("u", "v"))
     dim = u.shape[0]
     nan = float("nan")
-    phases = [linalg.unitary_phases(m) for m in (u, v, u @ v)]
+    phases = linalg.unitary_phases(np.stack((u, v, u @ v)))
     for name, p in zip(("u", "v", "uv"), phases):
         if _phase_cut_distance(p) < linalg.CUT_GUARD:
             return TheoremTrial(dim, seed, nan, nan, nan, True,

@@ -199,6 +199,11 @@ class TestEqualityCaseNorm:
             lhs, rhs = bounds.equality_case_norm(ha, k, t)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
+    @pytest.mark.parametrize("scale, t", [(1e200, 1e-201), (1e-200, 1e199)])
+    def test_equality_holds_at_extreme_scales(self, scale, t):
+        lhs, rhs = bounds.equality_case_norm(scale * SZ, -1.0, t)
+        assert_allclose([lhs, rhs], 0.2 * np.sqrt(2.0), rtol=1e-12)
+
     def test_positive_k_rejected(self):
         with pytest.raises(ValueError, match="k must be negative"):
             bounds.equality_case_norm(SZ, 1.0, 0.1)

@@ -68,6 +68,19 @@ class TestDiscriminate:
         assert code == 0
         assert_allclose(json.loads(out)["t_perp"], np.pi / 2, rtol=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_qubit_axis_of_any_scale_is_normalized(self, tmp_path, capsys, scale):
+        def t_perp(axis_a):
+            path = write_problem(tmp_path, {
+                "qubit": {"omega_a": 1.0, "omega_b": 2.0,
+                          "axis_a": axis_a, "axis_b": [0, 0, 1]},
+            })
+            code, out, err = run_cli(["discriminate", "--input", path], capsys)
+            assert (code, err) == (0, "")
+            return json.loads(out)["t_perp"]
+
+        assert_allclose(t_perp([scale, scale, 0]), t_perp([1, 1, 0]), rtol=1e-12)
+
     def test_output_file(self, tmp_path, capsys):
         path = write_problem(tmp_path, SZ_PAIR)
         out_path = tmp_path / "report.json"

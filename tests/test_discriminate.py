@@ -612,13 +612,13 @@ class TestCayleyPhases:
         pair = discriminate._EvolutionPair(ha, hb)
         ts = np.linspace(0.0, 3.0 * out.t_perp, 61)
         u = pair.product_grid(ts)
-        got, ref = pair.phases_grid(ts), discriminate._eig_phases(u)
+        got, ref = pair.phases_grid(ts), linalg._eig_phases(u)
         assert np.pi - np.abs(ref).max() > 1e-9  # no phase near the cut, where rows may wrap
         assert np.all(np.abs(got - ref).max(axis=1) <= self.bound(u))
         g = linalg._largest_arc(ref)[0] - np.pi
         assert (g < 0).sum() >= 10 and (g > 0).sum() >= 10  # samples on both sides of the root
         kappa_max = _cayley_kappa_max(u)
-        assert np.any(kappa_max[g < 0] <= discriminate.CAYLEY_KAPPA_MAX)  # exact past the root
+        assert np.any(kappa_max[g < 0] <= linalg.CAYLEY_KAPPA_MAX)  # exact past the root
 
     def test_rows_over_the_kappa_bound_take_the_eigvals_route(self, monkeypatch):
         rng = np.random.default_rng(708)
@@ -627,13 +627,13 @@ class TestCayleyPhases:
         u = pair.product_grid(ts)
         kappa_max = _cayley_kappa_max(u)
         cut = float(np.median(kappa_max))
-        monkeypatch.setattr(discriminate, "CAYLEY_KAPPA_MAX", cut)
+        monkeypatch.setattr(linalg, "CAYLEY_KAPPA_MAX", cut)
         calls = _record_eigvals(monkeypatch)
         got = pair.phases_grid(ts)
         referred = kappa_max > cut
         assert 0 < referred.sum() < len(ts)
         assert len(calls) == 1 and np.array_equal(calls[0], u[referred])
-        assert np.all(np.abs(got - discriminate._eig_phases(u)).max(axis=1) <= self.bound(u))
+        assert np.all(np.abs(got - linalg._eig_phases(u)).max(axis=1) <= self.bound(u))
 
     @staticmethod
     def stack_pair(rows):
@@ -654,7 +654,7 @@ class TestCayleyPhases:
         got = pair.phases_grid([0.6, 1.7, 2.0])
         assert len(calls) == 1 and np.array_equal(calls[0], stack[2:])
         assert np.array_equal(got[2], [0.0, 0.0, 0.0, np.pi])
-        assert np.all(np.abs(got[:2] - discriminate._eig_phases(stack[:2])).max(axis=1)
+        assert np.all(np.abs(got[:2] - linalg._eig_phases(stack[:2])).max(axis=1)
                       <= self.bound(stack[:2]))
 
     def test_trace_zero_row_takes_the_eigvals_route(self, monkeypatch):
@@ -671,7 +671,7 @@ class TestCayleyPhases:
         calls = _record_eigvals(monkeypatch)
         got = pair.phases_grid([0.9])
         assert len(calls) == 1 and calls[0].shape == (1, 5, 5)
-        assert np.array_equal(got, discriminate._eig_phases(pair.product_grid([0.9])))
+        assert np.array_equal(got, linalg._eig_phases(pair.product_grid([0.9])))
 
     @pytest.mark.parametrize("case", range(16))
     def test_gap_scan_pairs_call_eigvals_on_one_matrix_at_a_time(self, monkeypatch, case):

@@ -53,6 +53,14 @@ class TestHermEig:
         h = scale * np.array([[1, 1j], [-1j, -1]])
         assert linalg.assert_hermitian(h) is not None
 
+    def test_rejects_a_matrix_whose_norm_overflows(self):
+        # ||h||_F exceeds the float range, so no tolerance relative to it holds.
+        with pytest.raises(NonHermitianError, match="fails the Hermiticity tolerance"):
+            linalg.assert_hermitian(np.array([[1.5e308, 1e308], [0, 1.5e308]], complex))
+
+    def test_accepts_a_hermitian_matrix_whose_defect_would_overflow(self):
+        assert linalg.assert_hermitian(np.array([[0, 1e308], [1e308, 0]], complex)) is not None
+
 
 class TestUnitaryEig:
     def test_identity(self):
@@ -190,6 +198,27 @@ class TestUnitaryPhases:
         with pytest.raises(ConvergenceError):
             linalg.unitary_phases(u)
 
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_a_stack_matches_one_call_per_matrix_bit_for_bit(self, dim):
+        stack = np.stack([theorem.random_unitary(dim, 50 * dim + seed) for seed in range(6)]
+                         + [np.eye(dim, dtype=complex), -np.eye(dim, dtype=complex)])
+        single = np.stack([linalg.unitary_phases(u) for u in stack])
+        assert np.array_equal(linalg.unitary_phases(stack), single)
+        assert np.array_equal(linalg.unitary_phases(stack.reshape(2, 4, dim, dim)),
+                              single.reshape(2, 4, dim))
+
+    def test_a_stack_with_one_non_unitary_matrix_raises(self):
+        stack = np.stack([theorem.random_unitary(3, seed) for seed in range(4)])
+        stack[2] *= 1.001
+        with pytest.raises(NonUnitaryError, match="fails the unitarity tolerance"):
+            linalg.unitary_phases(stack)
+        with pytest.raises(NonUnitaryError, match="fails the unitarity tolerance"):
+            linalg.assert_unitary(stack)
+
+    def test_unitary_eig_rejects_a_stack(self):
+        with pytest.raises(DimensionMismatchError, match="must be a square matrix"):
+            linalg.unitary_eig(np.stack([np.eye(2, dtype=complex)] * 2))
+
 
 class TestAsUnitState:
     def test_rejects_a_nan_entry(self):
@@ -302,6 +331,13 @@ class TestFrobenius:
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             w, _ = np.linalg.qr(g)
             assert abs(linalg.frobenius(w @ m @ w.conj().T) - linalg.frobenius(m)) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+    def test_keeps_its_scale(self, scale):
+        assert_allclose(linalg.frobenius(scale * SZ), scale * np.sqrt(2.0), rtol=1e-15)
+
+    def test_an_infinite_entry_beside_a_nan_gives_inf(self):
+        assert linalg.frobenius(np.array([[np.nan, np.inf], [0, 0]])) == np.inf
 
 
 class TestLogFrechetDiag:

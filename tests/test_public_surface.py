@@ -3,9 +3,10 @@ the top-level exports, the exception classes, the rule that tolerances are
 module constants rather than parameters, the settable values of
 ``find_t_perp`` and of the ``discriminate`` and ``bounds`` commands, the
 rule that the operator-pair, positive-scalar, nonnegative-scalar,
-finite-scalar and count input checks are stated only in ``linalg``, a package
-that reports trouble by raising rather than by warning, and a runtime that
-imports numpy but not scipy."""
+finite-scalar and count input checks are stated only in ``linalg``, that
+only ``linalg`` calls an eigensolver or an inverse, a package that reports
+trouble by raising rather than by warning, and a runtime that imports numpy
+but not scipy."""
 
 import argparse
 import ast
@@ -114,6 +115,23 @@ def test_input_rules_are_stated_only_in_linalg():
                     if phrase in node.value:
                         found[phrase].add(path.name)
     assert found == {phrase: {"linalg.py"} for phrase in INPUT_RULE_PHRASES}
+
+
+# numpy routines that turn a matrix into eigenvalues or invert it; ``linalg``
+# is their one caller, so every eigenphase passes through its checks.
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "inv"}
+
+
+def test_only_linalg_calls_an_eigensolver_or_an_inverse():
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in EIGENSOLVERS
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "linalg"):
+                callers.add(path.name)
+    assert callers == {"linalg.py"}
 
 
 def test_no_module_imports_warnings():

@@ -68,6 +68,14 @@ class TestSubadditivity:
         with pytest.raises(NonUnitaryError):
             theorem.check_subadditivity(u, v)
 
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_one_eigenvalue_computation_per_trial(self, monkeypatch, dim):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(np.shape(m)) or eigvals(m))
+        theorem.check_subadditivity(theorem.random_unitary(dim, 1), theorem.random_unitary(dim, 2))
+        assert calls == [(3, dim, dim)]
+
     def test_norms_match_principal_log(self):
         master = np.random.default_rng(20251018)
         for _ in range(200):
@@ -157,3 +165,12 @@ class TestConjectureScan:
         ha = random_hermitian(rng, 3, radius=1.0)
         report = theorem.conjecture_scan(ha, 1.0, 0.1, n_samples=100, seed=11)
         assert report.max_sample_norm <= report.anti_aligned_norm + 1e-8
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales_give_the_unit_scale_numbers(self, scale):
+        # The generator norms carry the scale of ha; the phases do not.
+        ha = np.diag([1.0, 0.0, -1.0]).astype(complex)
+        unit = theorem.conjecture_scan(ha, 1.0, 0.5, 20, 3)
+        report = theorem.conjecture_scan(scale * ha, 1.0, 0.5 / scale, 20, 3)
+        assert_allclose([report.anti_aligned_norm / scale, report.max_sample_norm / scale],
+                        [unit.anti_aligned_norm, unit.max_sample_norm], rtol=1e-12)

@@ -11,7 +11,10 @@ Runs the checkout's own ``src/`` and prints a digest of each of:
   qubit problems;
 * the ``repr`` of ``find_t_perp`` on 240 seeded pairs at d = 2-5;
 * the ``repr`` of ``qubit_t_perp`` on 600 seeded rows, with delta/S down to
-  1e-5 and gamma near pi/2.
+  1e-5 and gamma near pi/2;
+* the values of ``bounds.equality_case_norm``, ``theorem.check_induction_step``
+  and ``theorem.conjecture_scan`` on seeded unit-scale inputs at d = 2-5,
+  the callers of ``linalg.frobenius`` that nothing above digests.
 
 A change that keeps every output bit for bit prints the same lines as its
 parent; run the script in both checkouts and compare.
@@ -39,7 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from orthotime import cli, discriminate, qubit  # noqa: E402
+from orthotime import bounds, cli, discriminate, qubit, theorem  # noqa: E402
 
 SEEDS = (1, 7, 201)
 MATRIX_PROBLEM = {"dim": 2,
@@ -48,6 +51,7 @@ MATRIX_PROBLEM = {"dim": 2,
 QUBIT_PROBLEM = {"qubit": {"omega_a": 3.0, "omega_b": 1.0, "gamma": math.pi}}
 PAIRS_PER_DIM = 60
 QUBIT_ROWS = 600
+NORM_CASES_PER_DIM = 10
 
 
 def _digest(text: str) -> str:
@@ -98,6 +102,23 @@ def qubit_t_perp_reprs() -> str:
     return "\n".join(lines)
 
 
+def norm_helper_reprs() -> str:
+    """Each helper's values on seeded Hermitian inputs of spectral radius
+    about 1, at steps and times that keep the products off the log cut."""
+    rng = np.random.default_rng(20260103)
+    lines = []
+    for dim in range(2, 6):
+        for _ in range(NORM_CASES_PER_DIM):
+            x, y = (workloads._hermitian(rng, dim) for _ in range(2))
+            x, y = (h / (2.0 * np.abs(np.linalg.eigvalsh(h)).max()) for h in (x, y))
+            k, t = -rng.uniform(0.2, 2.0), rng.uniform(0.1, 1.0)
+            s, ds = rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)
+            scan = theorem.conjecture_scan(x, rng.uniform(0.2, 1.0), 0.5, 8, int(rng.integers(1000)))
+            lines.append(repr((bounds.equality_case_norm(x, k, t),
+                               theorem.check_induction_step(x, y, s, ds), scan)))
+    return "\n".join(lines)
+
+
 def artifacts():
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -115,6 +136,7 @@ def artifacts():
                        lambda command=command, path=path: cli_stdout([command, "--input", path]))
         yield "find_t_perp.d2-5", find_t_perp_reprs
         yield "qubit_t_perp.rows", qubit_t_perp_reprs
+        yield "norm_helpers.d2-5", norm_helper_reprs
 
 
 def main() -> int:
