@@ -204,7 +204,10 @@ def unitary_eig(u) -> EigenSystem:
     V, an increasing map, so ``eigh``'s ascending order is the circular
     order of the phases starting after the arc, at phase k + 1; degenerate
     phases keep an orthonormal frame, which a generic eigensolver does not
-    give.  The result must reproduce ``u`` within ``RECONSTRUCTION_TOL``
+    give.  Each column is turned so that its entry of largest modulus, the
+    first on a tie, is real and positive: the frame then follows ``u``
+    continuously instead of taking ``eigh``'s phase convention, which can
+    flip between adjacent inputs.  The result must reproduce ``u`` within ``RECONSTRUCTION_TOL``
     times max(||u||_F, 1); otherwise ``ConvergenceError`` is raised.
     """
     u = assert_unitary(as_square_matrix(u))
@@ -216,6 +219,8 @@ def unitary_eig(u) -> EigenSystem:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceError(f"unitary eigensolver failed: {exc}") from exc
     vectors = vectors[:, np.arange(-k - 1, d - k - 1)]  # column j holds phase j
+    pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(d)]
+    vectors = vectors * (pivots.conj() / np.abs(pivots))  # each pivot real and positive
     recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
     if np.linalg.norm(recon - u) > RECONSTRUCTION_TOL * max(np.linalg.norm(u), 1.0):
         raise ConvergenceError("eigendecomposition failed to reproduce the input unitary")

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from orthotime import discriminate, linalg, qubit
+from orthotime import bounds, discriminate, linalg, qubit
 from orthotime.discriminate import (
     DiscriminationResult,
     NoOrthogonality,
@@ -522,6 +522,23 @@ def _gap_scan_pairs(seed=1, dim=8, cases=16):
         return 0.5 * (g + g.conj().T)
 
     return [(hermitian(), hermitian()) for _ in range(cases)]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 201])
+def test_the_optimal_state_is_continuous_in_t(seed):
+    # The frame's column phases are pinned, so the state, and with it the
+    # state-dependent bound t_lb_aa, does not jump between adjacent floats.
+    for ha, hb in _gap_scan_pairs(seed):
+        t_perp = find_t_perp(ha, hb).t_perp
+        down = np.nextafter(t_perp, 0.0)
+        ts = [t_perp, np.nextafter(t_perp, np.inf), down, np.nextafter(down, 0.0)]
+        bounds_aa = []
+        for t in ts:
+            spectrum = phase_spectrum(ha, hb, t)
+            _, pair = max_circular_gap(spectrum.phases)
+            psi = orthogonal_state(spectrum.frame, pair)
+            bounds_aa.append(bounds.aa_lower_bound(ha, hb, psi))
+        assert max(bounds_aa) - min(bounds_aa) <= 1e-12 * max(bounds_aa)
 
 
 def _certified_start(f0, lipschitz, step):

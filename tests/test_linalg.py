@@ -93,6 +93,22 @@ class TestUnitaryEig:
         phases, _ = linalg.unitary_eig(np.diag([-1.0 + 0.0j, 1.0]))
         assert_allclose(sorted(phases), [0.0, np.pi])
 
+    def test_each_column_has_a_real_positive_largest_entry(self):
+        for dim in range(1, 9):
+            _, vectors = linalg.unitary_eig(theorem.random_unitary(dim, 90 + dim))
+            pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(dim)]
+            assert np.all(pivots.real > 0)
+            assert np.all(np.abs(pivots.imag) <= 1e-15)
+
+    def test_the_frame_ignores_the_phase_eigh_picks(self, monkeypatch):
+        u = theorem.random_unitary(4, 7)
+        _, vectors = linalg.unitary_eig(u)
+        eigh = np.linalg.eigh
+        turn = np.exp(1j * np.array([0.3, -2.0, 1.0, 3.1]))
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda k: (lambda w, v: (w, v * turn))(*eigh(k)))
+        assert_allclose(linalg.unitary_eig(u).vectors, vectors, rtol=0, atol=1e-14)
+
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitaryError):
             linalg.unitary_eig(2.0 * np.eye(2, dtype=complex))
