@@ -20,10 +20,12 @@ of V is near -1: ||X||_2 = sqrt(1 + kappa_max^2) / 2.  ``unitary_eig``
 takes its frame from it, with -1 at the middle of the largest empty arc
 between the eigenphases, at least pi/d away from every eigenvalue, so
 ||X||_2 <= 1 / (2 sin(pi/2d)).  ``_batch_phases``, the gap scan's phase
-route, turns -1 to the antipode of tr U instead; a backward-stable inverse
-errs by about eps ||X||_2^2, so each phase errs by about
-eps (1 + kappa_max^2), and a row whose max|kappa| exceeds
-``CAYLEY_KAPPA_MAX`` takes ``np.linalg.eigvals`` instead.
+route, turns -1 to the antipode of tr U instead.  A backward-stable
+inverse errs by about eps ||X||_2^2, so K errs by about
+eps (1 + kappa_max^2) / 2, each kappa by no more (Weyl), and each phase,
+as d phi / d kappa <= 2, by about eps (1 + kappa_max^2); a row whose
+max|kappa| exceeds ``CAYLEY_KAPPA_MAX`` takes ``np.linalg.eigvals``
+instead.
 
 This is the package's one home for eigensolvers and norms: every
 eigenphase comes from ``unitary_phases`` (checked, one matrix or a stack),
@@ -295,9 +297,9 @@ def _batch_phases(u) -> np.ndarray:
     Cayley step ``_cayley`` turned by -arg tr U, which puts -1 at the
     antipode of the trace; each eigenvalue kappa gives the phase
     2 arctan kappa - turn, so the whole spectrum is there and a gap margin
-    of either sign is exact.  When the largest empty arc exceeds pi, the
-    antipode lies in it, since tr U / d lies in the convex hull of the
-    eigenvalues.  A row goes to ``np.linalg.eigvals`` when tr U = 0, when
+    of either sign is exact.  When the margin g is positive, the antipode
+    lies in the largest empty arc, at least g from every phase, since
+    tr U / d lies in the convex hull of the eigenvalues.  A row goes to ``np.linalg.eigvals`` when tr U = 0, when
     its inverse is singular or not finite, or when max|kappa| exceeds
     ``CAYLEY_KAPPA_MAX`` (see the module docstring); so does a stack of
     one, where the Cayley step costs more than it saves.
