@@ -181,6 +181,53 @@ class TestInputValidation:
         assert err == f"error: {flag} must be an integer of at least 1\n"
 
 
+def _json(payload):
+    return json.dumps(payload)
+
+
+_QUBIT = {"omega_a": 3.0, "omega_b": 1.0}
+_SHORT_ROW = [SZ_PAIR["H_a"][0], [[0, 0]]]
+_TEXT_CELL = [[["1", 0], [0, 0]], SZ_PAIR["H_a"][1]]
+
+
+class TestProblemRejections:
+    """Each malformed problem ends in exit 1, no report, and one stderr line
+    that names the rule it breaks."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "input is not valid JSON: Expecting property name enclosed in "
+              "double quotes: line 1 column 2 (char 1)"),
+        (_json([1, 2]), "problem must be a JSON object"),
+        (_json({"dim": 2, "H_a": SZ_PAIR["H_a"]}), "H_b is required in the matrix form"),
+        (_json(dict(SZ_PAIR, H_a="x")), "H_a must be a 2x2 array of [re, im] pairs"),
+        (_json(dict(SZ_PAIR, H_a=_SHORT_ROW)), "H_a[1] must have 2 entries"),
+        (_json(dict(SZ_PAIR, H_a=_TEXT_CELL)), "H_a[0][0][0] must be a number"),
+        (_json({"qubit": [1, 2]}), "qubit must be an object"),
+        (_json({"qubit": {"omega_a": 3.0, "gamma": 1.0}}), "qubit.omega_b is required"),
+        (_json({"qubit": _QUBIT}),
+         "qubit must contain exactly one of gamma or (axis_a, axis_b)"),
+        (_json({"qubit": dict(_QUBIT, axis_a=[0, 0, 1])}),
+         "qubit.axis_b is required when axes are given"),
+        (_json({"qubit": dict(_QUBIT, axis_a=[0, 1], axis_b=[0, 0, 1])}),
+         "qubit.axis_a must be a 3-vector"),
+        (_json({"qubit": dict(_QUBIT, axis_a=[0, 0, 0], axis_b=[0, 0, 1])}),
+         "qubit.axis_a must be a nonzero 3-vector"),
+    ], ids=["bad_json", "not_an_object", "missing_H_b", "matrix_not_a_list", "short_row",
+            "text_cell", "qubit_not_an_object", "missing_omega_b", "no_gamma_or_axes",
+            "missing_axis_b", "two_entry_axis", "zero_axis"])
+    def test_discriminate(self, tmp_path, capsys, text, message):
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        code, out, err = run_cli(["discriminate", "--input", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_fig2_gamma_below_zero(self, capsys):
+        code, out, err = run_cli(["fig2", "--gamma-min", "-0.1"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: need 0 <= gamma_min <= gamma_max <= pi\n"
+
+
 class TestNonFiniteInput:
     """JSON accepts the tokens Infinity and NaN, and argparse accepts inf and
     nan; each must end in a one-line error naming the field, not a traceback

@@ -99,6 +99,10 @@ class TestMaxCircularGap:
         gap, pair = max_circular_gap(np.array([0.0, np.pi]))
         assert gap == np.pi and pair == (0, 1)
 
+    def test_rejects_no_phases(self):
+        with pytest.raises(ValueError, match="^need at least one phase$"):
+            max_circular_gap([])
+
     @settings(max_examples=200, derandomize=True)
     @given(st.lists(st.floats(min_value=-np.pi + 1e-9, max_value=np.pi),
                     min_size=1, max_size=10))

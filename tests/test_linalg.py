@@ -109,6 +109,15 @@ class TestUnitaryEig:
                             lambda k: (lambda w, v: (w, v * turn))(*eigh(k)))
         assert_allclose(linalg.unitary_eig(u).vectors, vectors, rtol=0, atol=1e-14)
 
+    def test_a_frame_that_fails_reconstruction_raises(self, monkeypatch):
+        # Reversed columns pair each phase with another phase's eigenvector.
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda k: (lambda w, v: (w[::-1], v[:, ::-1]))(*eigh(k)))
+        with pytest.raises(ConvergenceError, match="^eigendecomposition failed to "
+                                                   "reproduce the input unitary$"):
+            linalg.unitary_eig(theorem.random_unitary(3, 1))
+
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitaryError):
             linalg.unitary_eig(2.0 * np.eye(2, dtype=complex))

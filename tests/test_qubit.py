@@ -40,6 +40,11 @@ class TestQubitHamiltonian:
         with pytest.raises(ValueError, match="axis must have unit length"):
             qubit.QubitField(1.0, np.array([np.nan, 0.0, 0.0]))
 
+    def test_rejects_an_axis_that_is_not_a_3_vector(self):
+        with pytest.raises(ValueError,
+                           match=r"^axis must be a real 3-vector, got shape \(2,\)$"):
+            qubit.QubitField(1.0, [0.0, 1.0])
+
     @pytest.mark.parametrize("omega", [np.nan, -1.0])
     def test_rejects_a_nan_or_negative_frequency(self, omega):
         # Finiteness is checked first, as for every nonnegative scalar.

@@ -174,3 +174,7 @@ class TestConjectureScan:
         report = theorem.conjecture_scan(scale * ha, 1.0, 0.5 / scale, 20, 3)
         assert_allclose([report.anti_aligned_norm / scale, report.max_sample_norm / scale],
                         [unit.anti_aligned_norm, unit.max_sample_norm], rtol=1e-12)
+
+    def test_rejects_a_scalar_ha(self):
+        with pytest.raises(ValueError, match="^ha must be nonzero after trace projection$"):
+            theorem.conjecture_scan(np.eye(2), 1.0, 0.5, 4, 0)
