@@ -4,7 +4,9 @@ Subcommands:
 
 *  ``discriminate``   JSON problem in, structured JSON report out.  Exit 0
    when an orthogonality time was found, 2 when none exists within the
-   horizon (a legitimate outcome), 1 on bad input or a ConvergenceError.
+   horizon (a legitimate outcome, and the only one for a pair of scalar
+   operators, whose ``bounds`` are null: no bound is finite), 1 on bad
+   input or a ConvergenceError.
 *  ``bounds``         JSON problem in, bounds report out (exit 0 or 1).
 *  ``fig1``/``fig2``  CSV sweeps over the relative frequency difference r
    at perfect alignment, and over the alignment angle gamma at fixed
@@ -20,18 +22,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from . import bounds, discriminate, linalg, qubit, theorem
 from .errors import ConvergenceError, NonHermitianError
 
-CSV_HEADER = "abscissa,t_perp_raw,t_perp_norm,t_lb_aa,t_lb_span,t_margolus,exists"
 VIOLATION_SLACK = 1e-9
 
 
 def _fmt(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
     return "NA" if x is None else format(float(x), ".12g")
 
 
@@ -54,11 +57,10 @@ class SweepRow:
     exists: bool
 
     def csv(self) -> str:
-        return ",".join([
-            _fmt(self.abscissa), _fmt(self.t_perp_raw), _fmt(self.t_perp_norm),
-            _fmt(self.t_lb_aa), _fmt(self.t_lb_span), _fmt(self.t_margolus),
-            "true" if self.exists else "false",
-        ])
+        return ",".join(_fmt(x) for x in astuple(self))
+
+
+CSV_HEADER = ",".join(field.name for field in fields(SweepRow))
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
@@ -69,6 +71,18 @@ def axes_for_gamma(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([0.0, 0.0, 1.0]), np.array([np.sin(gamma), 0.0, np.cos(gamma)])
 
 
+def _qubit_problem(omega_a: float, omega_b: float, axis_a, axis_b):
+    """The two fields, their Hamiltonians and the average energy of the
+    difference field, None when zero: then no Margolus bound exists."""
+    field_a = qubit.QubitField(omega_a, axis_a)
+    field_b = qubit.QubitField(omega_b, axis_b)
+    # Float min/max: np.clip costs ten times as much on a scalar.
+    cos_gamma = min(max(float(axis_a @ axis_b), -1.0), 1.0)
+    e_bar = qubit.mean_energy_bar(omega_a, omega_b, cos_gamma)
+    return (field_a, field_b, qubit.qubit_hamiltonian(field_a),
+            qubit.qubit_hamiltonian(field_b), e_bar if e_bar > 0.0 else None)
+
+
 def qubit_sweep_row(abscissa: float, gamma: float, omega_a: float,
                     omega_b: float) -> SweepRow:
     """One sweep row: closed-form orthogonality time plus all three bounds,
@@ -77,15 +91,11 @@ def qubit_sweep_row(abscissa: float, gamma: float, omega_a: float,
     Normalized time is t * (wa + wb) / (4 pi); the uncertainty bound uses the
     optimal equatorial state at the found time.
     """
-    axis_a, axis_b = axes_for_gamma(gamma)
-    field_a = qubit.QubitField(omega_a, axis_a)
-    field_b = qubit.QubitField(omega_b, axis_b)
-    ha = qubit.qubit_hamiltonian(field_a)
-    hb = qubit.qubit_hamiltonian(field_b)
-    e_bar = qubit.mean_energy_bar(omega_a, omega_b, float(np.cos(gamma)))
+    field_a, field_b, ha, hb, e_bar = _qubit_problem(omega_a, omega_b,
+                                                     *axes_for_gamma(gamma))
     t_perp = qubit.qubit_t_perp(gamma, omega_a, omega_b)
     psi = None if t_perp is None else qubit.discrimination_state(field_a, field_b, t_perp)
-    report = bounds.bounds_report(ha, hb, psi, e_bar if e_bar > 0.0 else None)
+    report = bounds.bounds_report(ha, hb, psi, e_bar)
     if t_perp is None:
         return SweepRow(abscissa, None, None, None, report.t_lb_span, report.t_margolus, False)
     t_norm = t_perp * (omega_a + omega_b) / (4.0 * np.pi)
@@ -171,6 +181,13 @@ def _known_fields(obj: dict, allowed: set[str], prefix: str = "") -> None:
             raise ValueError(f"{prefix}{key} is not a recognized field")
 
 
+def _required_fields(obj: dict, keys: tuple[str, ...], message: str) -> None:
+    """Raise ``message`` with the first missing key put in its braces."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(message.format(key))
+
+
 @dataclass(frozen=True)
 class Problem:
     ha: np.ndarray
@@ -205,9 +222,7 @@ def load_problem(path: str) -> Problem:
     if has_qubit:
         ha, hb, e_bar = _parse_qubit(data["qubit"])
     else:
-        for key in ("dim", "H_a", "H_b"):
-            if key not in data:
-                raise ValueError(f"{key} is required in the matrix form")
+        _required_fields(data, ("dim", "H_a", "H_b"), "{} is required in the matrix form")
         dim = linalg._count(data["dim"], "dim")
         ha = _parse_matrix(data["H_a"], dim, "H_a")
         hb = _parse_matrix(data["H_b"], dim, "H_b")
@@ -217,13 +232,11 @@ def load_problem(path: str) -> Problem:
     return Problem(ha, hb, e_bar, t_max, alpha)
 
 
-def _parse_qubit(q) -> tuple[np.ndarray, np.ndarray, float]:
+def _parse_qubit(q) -> tuple[np.ndarray, np.ndarray, float | None]:
     if not isinstance(q, dict):
         raise ValueError("qubit must be an object")
     _known_fields(q, {"omega_a", "omega_b", "gamma", "axis_a", "axis_b"}, "qubit.")
-    for key in ("omega_a", "omega_b"):
-        if key not in q:
-            raise ValueError(f"qubit.{key} is required")
+    _required_fields(q, ("omega_a", "omega_b"), "qubit.{} is required")
     omega_a = _as_number(q["omega_a"], "qubit.omega_a", linalg._finite_nonnegative)
     omega_b = _as_number(q["omega_b"], "qubit.omega_b", linalg._finite_nonnegative)
     has_gamma = "gamma" in q
@@ -234,15 +247,11 @@ def _parse_qubit(q) -> tuple[np.ndarray, np.ndarray, float]:
         gamma = _as_number(q["gamma"], "qubit.gamma")
         axis_a, axis_b = axes_for_gamma(gamma)
     else:
-        for key in ("axis_a", "axis_b"):
-            if key not in q:
-                raise ValueError(f"qubit.{key} is required when axes are given")
+        _required_fields(q, ("axis_a", "axis_b"), "qubit.{} is required when axes are given")
         axis_a = _parse_axis(q["axis_a"], "qubit.axis_a")
         axis_b = _parse_axis(q["axis_b"], "qubit.axis_b")
-    cos_gamma = float(np.clip(axis_a @ axis_b, -1.0, 1.0))
-    ha = qubit.qubit_hamiltonian(qubit.QubitField(omega_a, axis_a))
-    hb = qubit.qubit_hamiltonian(qubit.QubitField(omega_b, axis_b))
-    return ha, hb, qubit.mean_energy_bar(omega_a, omega_b, cos_gamma)
+    _, _, ha, hb, e_bar = _qubit_problem(omega_a, omega_b, axis_a, axis_b)
+    return ha, hb, e_bar
 
 
 # ---------------------------------------------------------------------------
@@ -253,61 +262,59 @@ def _state_pairs(state: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in state]
 
 
-def _bounds_dict(report: bounds.BoundsReport, t_perp: float | None) -> dict:
+def _bounds_dict(problem: Problem, result) -> dict | None:
+    """The bounds block, with the state entries when ``result`` was found;
+    None for a pair of scalar operators, which no bound is finite for (a
+    found pair never is one, so only the not-found path checks)."""
+    if result is None and (bounds.spectral_half_span(problem.ha)
+                           + bounds.spectral_half_span(problem.hb)) == 0.0:
+        return None
+    state = None if result is None else result.state
+    report = bounds.bounds_report(problem.ha, problem.hb, state, problem.e_bar)
     out = asdict(report)
     out["geodesic_length_at_t_perp"] = (
-        report.geodesic_length_at(t_perp)
-        if t_perp is not None and report.delta_E_a is not None else None
+        None if result is None else report.geodesic_length_at(result.t_perp)
     )
     return out
 
 
-def _run_problem(args) -> tuple[Problem, object]:
+def _problem_report(args) -> dict:
+    """Run ``find_t_perp`` on the problem and report its outcome and bounds."""
     problem = load_problem(args.input)
     outcome = discriminate.find_t_perp(
         problem.ha, problem.hb,
         t_max=args.t_max if args.t_max is not None else problem.t_max,
         alpha=args.alpha if args.alpha is not None else problem.alpha,
     )
-    return problem, outcome
-
-
-def _outcome_report(problem: Problem, outcome) -> tuple[dict, bool]:
-    e_bar = problem.e_bar if problem.e_bar else None
-    if isinstance(outcome, discriminate.DiscriminationResult):
-        report = bounds.bounds_report(problem.ha, problem.hb, outcome.state, e_bar)
+    found = isinstance(outcome, discriminate.DiscriminationResult)
+    if found:
         payload = {
-            "found": True,
             "t_perp": outcome.t_perp,
             "pair": list(outcome.pair),
             "alpha": outcome.alpha,
             "state": _state_pairs(outcome.state),
             "residual": outcome.residual,
-            "bounds": _bounds_dict(report, outcome.t_perp),
         }
-        return payload, True
-    report = bounds.bounds_report(problem.ha, problem.hb, None, e_bar)
-    payload = {
-        "found": False,
-        "message": "no orthogonality within horizon",
-        "t_max": outcome.t_max,
-        "g_infimum": outcome.g_infimum,
-        "t_at_infimum": outcome.t_at_infimum,
-        "bounds": _bounds_dict(report, None),
-    }
-    return payload, False
+    else:
+        payload = {
+            "message": "no orthogonality within horizon",
+            "t_max": outcome.t_max,
+            "g_infimum": outcome.g_infimum,
+            "t_at_infimum": outcome.t_at_infimum,
+        }
+    payload["found"] = found
+    payload["bounds"] = _bounds_dict(problem, outcome if found else None)
+    return payload
 
 
 def cmd_discriminate(args) -> int:
-    problem, outcome = _run_problem(args)
-    payload, found = _outcome_report(problem, outcome)
+    payload = _problem_report(args)
     _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0 if found else 2
+    return 0 if payload["found"] else 2
 
 
 def cmd_bounds(args) -> int:
-    problem, outcome = _run_problem(args)
-    payload, _ = _outcome_report(problem, outcome)
+    payload = _problem_report(args)
     trimmed = {
         "found": payload["found"],
         "t_perp": payload.get("t_perp"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -48,6 +49,22 @@ class TestDiscriminate:
         assert report["found"] is False
         assert "no orthogonality" in report["message"]
         assert report["g_infimum"] > 0
+
+    # find_t_perp never orthogonalizes a pair of scalar operators, and no
+    # bound is finite for one, so the report has no bounds block.
+    @pytest.mark.parametrize("payload", [
+        {"dim": 2, "H_a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+         "H_b": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]},
+        {"dim": 1, "H_a": [[[1, 0]]], "H_b": [[[2, 0]]]},
+        {"qubit": {"omega_a": 0, "omega_b": 0, "gamma": 1}},
+    ], ids=["dim_2", "dim_1", "qubit"])
+    @pytest.mark.parametrize("command, exit_code", [("discriminate", 2), ("bounds", 0)])
+    def test_scalar_pair_has_null_bounds(self, tmp_path, capsys, payload, command, exit_code):
+        path = write_problem(tmp_path, payload)
+        code, out, err = run_cli([command, "--input", path], capsys)
+        assert (code, err) == (exit_code, "")
+        report = json.loads(out)
+        assert report["found"] is False and report["bounds"] is None
 
     def test_qubit_shorthand_anti_aligned(self, tmp_path, capsys):
         path = write_problem(tmp_path, {
@@ -383,6 +400,28 @@ class TestFigureSweeps:
         for line in out.strip().split("\n")[1:]:
             row = line.split(",")
             assert row[1] == "NA" and row[6] == "false"
+
+    # At ratio 1 and gamma = 0 the difference field vanishes: no Margolus
+    # bound, NA in the CSV and null in the report.
+    @pytest.mark.parametrize("omega_ratio", [3.0, 1.0])
+    def test_fig2_rows_agree_with_the_qubit_problem(self, tmp_path, capsys, omega_ratio):
+        code, out, _ = run_cli(["fig2", "--points", "5", "--omega-ratio", str(omega_ratio)],
+                               capsys)
+        rows = cli.fig2_rows(0.0, np.pi, 5, omega_ratio)
+        assert code == 0 and out == cli.rows_to_csv(rows)
+        columns = [field.name for field in dataclasses.fields(cli.SweepRow)]
+        header, *lines = out.strip().split("\n")
+        assert header.split(",") == columns
+        assert all(len(line.split(",")) == len(columns) for line in lines)
+        omegas = {"omega_a": 2.0 * omega_ratio / (1.0 + omega_ratio),
+                  "omega_b": 2.0 / (1.0 + omega_ratio)}
+        for gamma, row, line in zip(np.linspace(0.0, np.pi, 5), rows, lines):
+            path = write_problem(tmp_path, {"qubit": dict(omegas, gamma=gamma)})
+            code, out, _ = run_cli(["discriminate", "--input", path], capsys)
+            assert code == (0 if row.exists else 2)
+            assert json.loads(out)["bounds"]["t_margolus"] == row.t_margolus
+            assert (line.split(",")[5] == "NA") == (row.t_margolus is None)
+        assert (omega_ratio == 1.0) == (rows[0].t_margolus is None)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(["fig2", "--points", "7"], capsys)
