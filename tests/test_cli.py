@@ -198,10 +198,6 @@ class TestInputValidation:
         assert err == f"error: {flag} must be an integer of at least 1\n"
 
 
-def _json(payload):
-    return json.dumps(payload)
-
-
 _QUBIT = {"omega_a": 3.0, "omega_b": 1.0}
 _SHORT_ROW = [SZ_PAIR["H_a"][0], [[0, 0]]]
 _TEXT_CELL = [[["1", 0], [0, 0]], SZ_PAIR["H_a"][1]]
@@ -214,20 +210,20 @@ class TestProblemRejections:
     @pytest.mark.parametrize("text, message", [
         ("{", "input is not valid JSON: Expecting property name enclosed in "
               "double quotes: line 1 column 2 (char 1)"),
-        (_json([1, 2]), "problem must be a JSON object"),
-        (_json({"dim": 2, "H_a": SZ_PAIR["H_a"]}), "H_b is required in the matrix form"),
-        (_json(dict(SZ_PAIR, H_a="x")), "H_a must be a 2x2 array of [re, im] pairs"),
-        (_json(dict(SZ_PAIR, H_a=_SHORT_ROW)), "H_a[1] must have 2 entries"),
-        (_json(dict(SZ_PAIR, H_a=_TEXT_CELL)), "H_a[0][0][0] must be a number"),
-        (_json({"qubit": [1, 2]}), "qubit must be an object"),
-        (_json({"qubit": {"omega_a": 3.0, "gamma": 1.0}}), "qubit.omega_b is required"),
-        (_json({"qubit": _QUBIT}),
+        (json.dumps([1, 2]), "problem must be a JSON object"),
+        (json.dumps({"dim": 2, "H_a": SZ_PAIR["H_a"]}), "H_b is required in the matrix form"),
+        (json.dumps(dict(SZ_PAIR, H_a="x")), "H_a must be a 2x2 array of [re, im] pairs"),
+        (json.dumps(dict(SZ_PAIR, H_a=_SHORT_ROW)), "H_a[1] must have 2 entries"),
+        (json.dumps(dict(SZ_PAIR, H_a=_TEXT_CELL)), "H_a[0][0][0] must be a number"),
+        (json.dumps({"qubit": [1, 2]}), "qubit must be an object"),
+        (json.dumps({"qubit": {"omega_a": 3.0, "gamma": 1.0}}), "qubit.omega_b is required"),
+        (json.dumps({"qubit": _QUBIT}),
          "qubit must contain exactly one of gamma or (axis_a, axis_b)"),
-        (_json({"qubit": dict(_QUBIT, axis_a=[0, 0, 1])}),
+        (json.dumps({"qubit": dict(_QUBIT, axis_a=[0, 0, 1])}),
          "qubit.axis_b is required when axes are given"),
-        (_json({"qubit": dict(_QUBIT, axis_a=[0, 1], axis_b=[0, 0, 1])}),
+        (json.dumps({"qubit": dict(_QUBIT, axis_a=[0, 1], axis_b=[0, 0, 1])}),
          "qubit.axis_a must be a 3-vector"),
-        (_json({"qubit": dict(_QUBIT, axis_a=[0, 0, 0], axis_b=[0, 0, 1])}),
+        (json.dumps({"qubit": dict(_QUBIT, axis_a=[0, 0, 0], axis_b=[0, 0, 1])}),
          "qubit.axis_a must be a nonzero 3-vector"),
     ], ids=["bad_json", "not_an_object", "missing_H_b", "matrix_not_a_list", "short_row",
             "text_cell", "qubit_not_an_object", "missing_omega_b", "no_gamma_or_axes",
