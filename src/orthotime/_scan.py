@@ -101,7 +101,7 @@ def bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
     best_t, best_f = hi, f_hi
     x3 = f3 = None  # the bracket end discarded last
     for k in range(_MAX_EVALS):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
         if not (lo < mid < hi):
             break
         x = _interpolate(lo, hi, f_lo, f_hi, x3, f3)
@@ -209,8 +209,9 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
 
     ``f_batch`` maps an array of abscissae to an array of values.  It is
     called on consecutive blocks of the grid, each computed as
-    ``np.arange(start, stop) * (t_end / n)`` with the last point set to
-    exactly ``t_end``: bit for bit the points of
+    ``np.arange(start, stop) * (t_end / n)`` over the indices below n, with
+    exactly ``t_end`` appended for index n (n times the step may overflow
+    near the float maximum): bit for bit the points of
     ``np.linspace(0, t_end, n + 1)``, which is never built.  ``lipschitz``
     bounds the curve's slope and ``f0``, checked positive, is a lower bound
     on its value at 0.  Touch candidates are the positive sampled local
@@ -256,10 +257,8 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
     first = min(max(int(2.0 * b) - s, _FIRST_BLOCK), _MAX_BLOCK)
 
     def abscissae(lo: int, hi: int) -> np.ndarray:
-        ts = np.arange(lo, hi, dtype=float) * step
-        if hi > n:
-            ts[-1] = t_end
-        return ts
+        ts = np.arange(lo, min(hi, n), dtype=float) * step
+        return np.append(ts, t_end) if hi > n else ts
 
     tail = np.empty(0)  # last two samples of the previous block
     low = None

@@ -81,15 +81,6 @@ def margolus_bound(e_bar: float) -> float:
     return float(np.pi / (2.0 * linalg._finite_positive(e_bar, "average energy")))
 
 
-def geodesic_length(ha, hb, psi, t: float) -> float:
-    """Projective-space length 2 (dE_a + dE_b) t swept by the two evolutions
-    up to a finite time t; at least pi whenever the endpoints are orthogonal."""
-    t = linalg._finite(t, "t")
-    da = energy_uncertainty(ha, psi)
-    db = energy_uncertainty(hb, psi)
-    return float(2.0 * (da + db) * t)
-
-
 def saturating_pair(omega_a: float, omega_b: float, dim: int = 2,
                     alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Anti-aligned pair attaining the span bound exactly.
@@ -161,6 +152,9 @@ class BoundsReport:
     t_margolus: float | None
 
     def geodesic_length_at(self, t: float) -> float:
+        """Projective-space length 2 (dE_a + dE_b) t swept by the two
+        evolutions up to a finite time t; at least pi whenever the endpoints
+        are orthogonal."""
         if self.delta_E_a is None or self.delta_E_b is None:
             raise ValueError("no state-dependent data in this report")
         return 2.0 * (self.delta_E_a + self.delta_E_b) * linalg._finite(t, "t")

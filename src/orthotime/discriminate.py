@@ -28,6 +28,7 @@ its error bound and its fallback to ``np.linalg.eigvals``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from ._scan import SCAN_POINTS, first_root
 from .errors import ConvergenceError
 
 GAP_FTOL = 1e-11
-HORIZON_SPANS = 100  # default t_max, in span lower bounds pi/L
+HORIZON_SPANS = 100  # default t_max, in span lower bounds pi/L, capped at the largest float
 REFINE_REL_TOL = 1e-10  # crossing-time tolerance, relative to t_max
 LIPSCHITZ_SLACK = 1e-6  # relative slack on L in the continuity check of a margin batch
 LIPSCHITZ_ATOL = 1e-9  # and its absolute allowance for roundoff
@@ -227,7 +228,8 @@ def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     the scan stops at the first root, so memory is bounded by one block.  The
     step is t_max / ``SCAN_POINTS``, at most pi/(2L) for the margin's Lipschitz
     constant L = 2 (wa + wb); t_max defaults to ``HORIZON_SPANS`` span lower
-    bounds pi/L, and a crossing is refined to ``REFINE_REL_TOL`` * t_max.
+    bounds pi/L, capped at the largest float (``sys.float_info.max``) for an
+    L below about 1.75e-306, where it overflows, and a crossing is refined to ``REFINE_REL_TOL`` * t_max.
     The scan's start bound is the margin's exact value at t = 0: pi, or 2
     for the d = 2 margin.  A given t_max is checked positive and, like
     alpha, t_max (max|lam| + max|mu|) and the grid count, finite.  Margin
@@ -245,8 +247,8 @@ def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     alpha = linalg._finite(alpha, "alpha")
     if pair_data.lipschitz == 0.0:  # both operators scalar: the product is a global phase forever
         return NoOrthogonality(t_max if t_max is not None else 0.0, np.pi, 0.0)
-    if t_max is None:
-        t_max = HORIZON_SPANS * np.pi / pair_data.lipschitz
+    if t_max is None:  # an L below about 1.75e-306 makes the default overflow
+        t_max = min(HORIZON_SPANS * np.pi / pair_data.lipschitz, sys.float_info.max)
     pair_data.checked_time(t_max, "t_max")
     step = min(t_max / SCAN_POINTS, np.pi / (2.0 * pair_data.lipschitz))
     n = np.ceil(t_max / step) if step > 0.0 else np.inf  # t_max / SCAN_POINTS may underflow

@@ -9,14 +9,15 @@ to the scalar criterion
 
 whose first root is the orthogonality time; gamma is the angle between the
 two field axes.  Equal frequencies with gamma below pi/2 admit no root at any
-finite time, which ``qubit_t_perp`` reports as None.
+finite time, which ``qubit_t_perp`` reports as None.  The optimal state
+(``discrimination_state``) is equatorial about the composed rotation's axis,
+the direction of its vector part in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,47 +63,9 @@ class QubitField:
         object.__setattr__(self, "axis", _unit_axis(self.axis))
 
 
-class AxisAngle(NamedTuple):
-    """Rotation angle and unit axis; the axis is zero when sin(theta/2) = 0."""
-
-    theta: float
-    axis: np.ndarray
-
-
 def qubit_hamiltonian(field: QubitField) -> np.ndarray:
     """2x2 matrix r0 + omega axis.sigma with eigenvalues r0 -+ omega."""
     return field.r0 * np.eye(2, dtype=complex) + field.omega * _dot_sigma(field.axis)
-
-
-def rotation(axis, theta: float) -> np.ndarray:
-    """Spin rotation by a finite theta about a unit axis:
-    cos(theta/2) - i sin(theta/2) axis.sigma."""
-    n = _unit_axis(axis)
-    half = 0.5 * linalg._finite(theta, "theta")
-    return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * _dot_sigma(n)
-
-
-def compose_rotations(theta_a: float, axis_a, theta_b: float, axis_b) -> AxisAngle:
-    """Angle and axis of the composed rotation
-    rotation(axis_b, theta_b) @ rotation(axis_a, -theta_a).
-
-    The scalar part is cos(ta/2)cos(tb/2) + sin(ta/2)sin(tb/2) (ra.rb); the
-    vector part carries the two weighted axes plus the cross-product term
-    fixed by expanding the 2x2 product with the Pauli algebra.  Both angles
-    are checked finite.
-    """
-    theta_a = linalg._finite(theta_a, "theta_a")
-    theta_b = linalg._finite(theta_b, "theta_b")
-    ra = _unit_axis(axis_a)
-    rb = _unit_axis(axis_b)
-    ca, sa = np.cos(0.5 * theta_a), np.sin(0.5 * theta_a)
-    cb, sb = np.cos(0.5 * theta_b), np.sin(0.5 * theta_b)
-    cos_half = ca * cb + sa * sb * float(ra @ rb)
-    vec = -sa * cb * ra + ca * sb * rb - sa * sb * np.cross(rb, ra)
-    sin_half = float(np.linalg.norm(vec))
-    theta = 2.0 * np.arctan2(sin_half, cos_half)
-    axis = vec / sin_half if sin_half > 0.0 else np.zeros(3)
-    return AxisAngle(float(theta), axis)
 
 
 def criterion(gamma: float, omega_a: float, omega_b: float, t):
@@ -198,15 +161,29 @@ def discrimination_state(field_a: QubitField, field_b: QubitField, t: float,
     """Initial state whose two evolutions are orthogonal at time t, assuming
     the criterion vanishes there.
 
-    The bracket of the time-t evolutions is the expectation of
-    R_a(-theta_a) R_b(theta_b) with theta = 2 omega t; an equatorial state
-    about that product's rotation axis leaves only its scalar part, which is
-    the criterion.  Note the ordering: the reversed product shares the angle
-    (and hence the root) but not the axis.  ``t`` and the rotation angles
-    2 omega t are checked finite.
+    The bracket of the time-t evolutions is the expectation of the spin
+    rotation R_a(-theta_a) R_b(theta_b), with theta = 2 omega t.  With half
+    angles h = -omega t, the Pauli product rule gives its scalar part, the
+    criterion, and its vector part
+
+        sin(h_a) cos(h_b) r_a - cos(h_a) sin(h_b) r_b - sin(h_a) sin(h_b) r_a x r_b,
+
+    whose direction is the rotation axis.  An equatorial state about that
+    axis leaves only the scalar part.  Note the ordering: the reversed
+    product shares the angle (and hence the root) but not the axis.  ``t``
+    and the rotation angles 2 omega t are checked finite.  A zero vector
+    part, as at t = 0, means the evolutions differ only by a global phase,
+    and raises ValueError.
     """
     t = linalg._finite_phase(linalg._finite(t, "t"), 2.0 * max(field_a.omega, field_b.omega),
                              "t * 2 max(omega_a, omega_b)")
-    comp = compose_rotations(-2.0 * field_b.omega * t, field_b.axis,
-                             -2.0 * field_a.omega * t, field_a.axis)
-    return equatorial_state(comp.axis, alpha)
+    half_a, half_b = 0.5 * (-2.0 * field_a.omega * t), 0.5 * (-2.0 * field_b.omega * t)
+    sa, ca = np.sin(half_a), np.cos(half_a)
+    sb, cb = np.sin(half_b), np.cos(half_b)
+    ra, rb = field_a.axis, field_b.axis
+    vec = -sb * ca * rb + cb * sa * ra - sb * sa * np.cross(ra, rb)
+    size = float(np.linalg.norm(vec))
+    if size == 0.0:
+        raise ValueError(f"the two evolutions differ only by a global phase at t = {t!r}; "
+                         "no state can discriminate them")
+    return equatorial_state(vec / size, alpha)

@@ -179,7 +179,7 @@ def test_criterion_6_bound_ordering(random_matrix_data, qubit_oracle_data):
         t_span = bounds.span_lower_bound(ha, hb)
         assert t_span <= t_aa * (1.0 + 1e-12)
         assert t_aa <= outcome.t_perp * (1.0 + 1e-9)
-        length = bounds.geodesic_length(ha, hb, outcome.state, outcome.t_perp)
+        length = bounds.bounds_report(ha, hb, outcome.state).geodesic_length_at(outcome.t_perp)
         worst_geodesic = min(worst_geodesic, length)
         assert length >= np.pi - 1e-9
     assert found >= 50

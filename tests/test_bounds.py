@@ -115,7 +115,7 @@ class TestMargolusBound:
 class TestGeodesicLength:
     def test_zero_time(self):
         psi = np.array([1.0, 1.0], complex) / np.sqrt(2.0)
-        assert bounds.geodesic_length(SZ, SX, psi, 0.0) == 0.0
+        assert bounds.bounds_report(SZ, SX, psi).geodesic_length_at(0.0) == 0.0
 
     def test_equals_pi_at_aa_bound(self):
         rng = np.random.default_rng(13)
@@ -123,7 +123,8 @@ class TestGeodesicLength:
         hb = random_hermitian(rng, 3)
         psi = random_state(rng, 3)
         t_lb = bounds.aa_lower_bound(ha, hb, psi)
-        assert_allclose(bounds.geodesic_length(ha, hb, psi, t_lb), np.pi, atol=1e-12)
+        length = bounds.bounds_report(ha, hb, psi).geodesic_length_at(t_lb)
+        assert_allclose(length, np.pi, atol=1e-12)
 
     def test_at_least_pi_at_found_times(self):
         rng = np.random.default_rng(17)
@@ -132,7 +133,8 @@ class TestGeodesicLength:
             hb = random_hermitian(rng, 4, radius=1.5)
             out = find_t_perp(ha, hb)
             assert isinstance(out, DiscriminationResult)
-            assert bounds.geodesic_length(ha, hb, out.state, out.t_perp) >= np.pi - 1e-9
+            length = bounds.bounds_report(ha, hb, out.state).geodesic_length_at(out.t_perp)
+            assert length >= np.pi - 1e-9
 
 
 class TestBrodyTime:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -65,6 +66,21 @@ class TestDiscriminate:
         assert (code, err) == (exit_code, "")
         report = json.loads(out)
         assert report["found"] is False and report["bounds"] is None
+
+    # A span of 5e-324 makes the default horizon pi / L overflow; capped at
+    # the largest float, the pair reports no orthogonality, and its half-spans
+    # underflow to zero, so it has no bounds either.
+    @pytest.mark.parametrize("command, exit_code", [("discriminate", 2), ("bounds", 0)])
+    def test_subnormal_span_has_a_finite_default_horizon(self, tmp_path, capsys, command,
+                                                         exit_code):
+        zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+        path = write_problem(tmp_path, {"dim": 2, "H_a": [[[5e-324, 0], [0, 0]], [[0, 0], [0, 0]]],
+                                        "H_b": zero})
+        code, out, err = run_cli([command, "--input", path], capsys)
+        assert (code, err) == (exit_code, "")
+        report = json.loads(out)
+        assert report["found"] is False and report["bounds"] is None
+        assert report.get("t_max", sys.float_info.max) == sys.float_info.max
 
     def test_qubit_shorthand_anti_aligned(self, tmp_path, capsys):
         path = write_problem(tmp_path, {

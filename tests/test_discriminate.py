@@ -373,6 +373,26 @@ class TestFindTPerp:
         with pytest.raises(ValueError, match=message):
             find_t_perp(ha, hb, **{name: value})
 
+    # pi / L overflows for L below about 1.75e-306; the default horizon is
+    # then capped at the largest float, which still holds the root pi / L
+    # (near that maximum, so the refiner must not add its bracket ends).
+    @pytest.mark.parametrize("ha, hb, lipschitz", [
+        (np.diag([1e-307, 0.0]), np.zeros((2, 2)), 1e-307),
+        (np.diag([1e-306, 0.0]), np.zeros((2, 2)), 1e-306),
+        (np.diag([3e-308, 0.0]), np.zeros((2, 2)), 3e-308),
+        (np.diag([1e-307, 0.0, 0.0]), np.diag([0.0, 0.0, 2e-307]), 3e-307),
+    ], ids=["1e-307", "1e-306", "3e-308", "dim_3"])
+    def test_default_horizon_of_a_tiny_span_is_capped(self, ha, hb, lipschitz):
+        out = find_t_perp(ha.astype(complex), hb.astype(complex))
+        assert isinstance(out, DiscriminationResult)
+        assert_allclose(out.t_perp, np.pi / lipschitz, rtol=1e-9)
+
+    def test_default_horizon_of_a_subnormal_span_reports_no_orthogonality(self):
+        # Half of 5e-324 underflows, so the d = 2 margin is flat at 2.
+        out = find_t_perp(np.diag([5e-324, 0.0]).astype(complex), np.zeros((2, 2), complex))
+        assert repr(out) == ("NoOrthogonality(t_max=1.7976931348623157e+308, "
+                             "g_infimum=3.141592653589793, t_at_infimum=0.0)")
+
     def test_one_dimensional_never_orthogonal(self):
         out = find_t_perp(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]), t_max=4.0)
         assert isinstance(out, NoOrthogonality)

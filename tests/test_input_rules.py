@@ -78,12 +78,6 @@ FINITE_SITES = {
     "orthogonal_state.alpha": (lambda v: discriminate.orthogonal_state(I2, (0, 1), v),
                                NON_FINITE),
     "expm_i.t": (lambda v: linalg.expm_i(SZ, v), NON_FINITE),
-    "rotation.theta": (lambda v: qubit.rotation(Z_AXIS, v), NON_FINITE),
-    "compose_rotations.theta_a": (lambda v: qubit.compose_rotations(v, Z_AXIS, 1.0, Z_AXIS),
-                                  NON_FINITE),
-    "compose_rotations.theta_b": (lambda v: qubit.compose_rotations(1.0, Z_AXIS, v, Z_AXIS),
-                                  NON_FINITE),
-    "geodesic_length.t": (lambda v: bounds.geodesic_length(SZ, SX, I2[0], v), NON_FINITE),
     "geodesic_length_at.t": (lambda v: bounds.bounds_report(SZ, SX, I2[0]).geodesic_length_at(v),
                              NON_FINITE),
 }

@@ -1,8 +1,9 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -51,68 +52,6 @@ class TestQubitHamiltonian:
         rule = "finite" if np.isnan(omega) else "nonnegative"
         with pytest.raises(ValueError, match=f"^omega must be {rule}$"):
             qubit.QubitField(omega, Z_AXIS)
-
-
-class TestRotation:
-    def test_zero_angle(self):
-        assert_allclose(qubit.rotation(Z_AXIS, 0.0), np.eye(2), atol=1e-15)
-
-    def test_pi_about_z(self):
-        assert_allclose(qubit.rotation(Z_AXIS, np.pi), -1j * SZ, atol=1e-15)
-
-    def test_agrees_with_matrix_exponential(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            axis = random_axis(rng)
-            theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-            h = qubit.qubit_hamiltonian(qubit.QubitField(1.0, axis))
-            assert_allclose(qubit.rotation(axis, theta), linalg.expm_i(h, theta / 2),
-                            atol=1e-13)
-
-
-class TestComposeRotations:
-    def test_zero_angles(self):
-        comp = qubit.compose_rotations(0.0, Z_AXIS, 0.0, X_AXIS)
-        assert_allclose(comp.theta, 0.0, atol=1e-15)
-        assert_allclose(comp.axis, 0.0)
-
-    def test_shared_axis_subtracts_angles(self):
-        comp = qubit.compose_rotations(0.4, Z_AXIS, 1.1, Z_AXIS)
-        assert_allclose(comp.theta, 0.7, atol=1e-12)
-        assert_allclose(comp.axis, Z_AXIS, atol=1e-12)
-
-    def test_matrix_identity_random(self):
-        # oracle: the reconstructed rotation must equal the 2x2 product
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(1000):
-            ta, tb = rng.uniform(-2 * np.pi, 2 * np.pi, size=2)
-            na, nb = random_axis(rng), random_axis(rng)
-            comp = qubit.compose_rotations(ta, na, tb, nb)
-            direct = qubit.rotation(nb, tb) @ qubit.rotation(na, -ta)
-            if np.linalg.norm(comp.axis) == 0.0:
-                recon = np.cos(comp.theta / 2) * np.eye(2, dtype=complex)
-            else:
-                recon = qubit.rotation(comp.axis, comp.theta)
-            worst = max(worst, np.linalg.norm(recon - direct))
-        assert worst <= 1e-12
-
-    @settings(max_examples=150, derandomize=True)
-    @given(ta=st.floats(-6.0, 6.0), tb=st.floats(-6.0, 6.0),
-           raw=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)))
-    def test_matrix_identity_hypothesis(self, ta, tb, raw):
-        v = np.asarray(raw)
-        norm = np.linalg.norm(v)
-        if norm < 0.1:
-            return
-        na = v / norm
-        nb = np.roll(na, 1)
-        comp = qubit.compose_rotations(ta, na, tb, nb)
-        direct = qubit.rotation(nb, tb) @ qubit.rotation(na, -ta)
-        recon = (qubit.rotation(comp.axis, comp.theta)
-                 if np.linalg.norm(comp.axis) > 0
-                 else np.cos(comp.theta / 2) * np.eye(2, dtype=complex))
-        assert np.linalg.norm(recon - direct) <= 1e-12
 
 
 class TestCriterion:
@@ -279,6 +218,37 @@ class TestDiscriminationState:
             psi = qubit.discrimination_state(fa, fb, t)
             value = bracket(psi, qubit.qubit_hamiltonian(fa), qubit.qubit_hamiltonian(fb), t)
             assert abs(value) <= 1e-8
+
+    @settings(max_examples=200, derandomize=True)
+    @given(wa=st.floats(0.1, 5.0), wb=st.floats(0.1, 5.0), t=st.floats(0.0, 10.0),
+           raw_a=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           raw_b=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    def test_bracket_is_the_criterion_at_every_time(self, wa, wb, t, raw_a, raw_b):
+        # The state's axis and sign are right at every t, not only at roots:
+        # the engine's bracket equals the real closed-form criterion.
+        from orthotime.discriminate import bracket
+
+        assume(min(np.linalg.norm(raw_a), np.linalg.norm(raw_b)) >= 0.1)
+        na, nb = (np.asarray(v) / np.linalg.norm(v) for v in (raw_a, raw_b))
+        fa, fb = qubit.QubitField(wa, na), qubit.QubitField(wb, nb)
+        value = qubit.criterion(np.arccos(np.clip(na @ nb, -1.0, 1.0)), wa, wb, t)
+        try:
+            psi = qubit.discrimination_state(fa, fb, t)
+        except ValueError as exc:  # only where the product is a global phase
+            assert "differ only by a global phase" in str(exc)
+            assert abs(abs(value) - 1.0) <= 1e-12
+            return
+        ha, hb = qubit.qubit_hamiltonian(fa), qubit.qubit_hamiltonian(fb)
+        assert abs(bracket(psi, ha, hb, t) - value) <= 1e-12
+
+    @pytest.mark.parametrize("wb, axis_b, t", [(2.0, X_AXIS, 0.0), (1.0, Z_AXIS, 1.3)],
+                             ids=["zero_time", "identical_fields"])
+    def test_evolutions_that_differ_by_a_phase_are_named(self, wb, axis_b, t):
+        fa, fb = qubit.QubitField(1.0, Z_AXIS), qubit.QubitField(wb, axis_b)
+        message = (f"the two evolutions differ only by a global phase at t = {t!r}; "
+                   "no state can discriminate them")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qubit.discrimination_state(fa, fb, t)
 
     def test_phase_overflow_is_named(self):
         # The rotation angle 2 omega t overflows at t = 1e308.

@@ -2,6 +2,8 @@
 its early stop inside both engines, and the crossing refiner
 ``_scan.bisect_root`` against brentq and plain bisection."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -230,6 +232,25 @@ def test_abscissae_are_the_linspace_grid(n, t_end):
     assert hit == RootHit(0.0, 1.0, "none")
     # Bit for bit, so also at every block edge and at the last point.
     assert np.concatenate(blocks).tobytes() == np.linspace(0.0, t_end, n + 1).tobytes()
+
+
+# n (t_end / n) rounds past the float maximum for n = 63 and 2001 (the grid
+# count of find_t_perp's capped default horizon), where the suite's
+# error::RuntimeWarning filter turns the overflow into a failure.
+@pytest.mark.parametrize("n", [1, 63, 2000, 2001])
+def test_grid_ending_at_the_float_maximum_does_not_overflow(n):
+    t_end = sys.float_info.max
+    blocks = []
+
+    def flat(t):
+        blocks.append(t.copy())
+        return np.ones(t.size)
+
+    # A flat curve has slope bound 0: no touch hunt, one pass over the grid.
+    assert first_root(flat, t_end, n, 0.0, XTOL, FTOL, 1.0) == RootHit(0.0, 1.0, "none")
+    with np.errstate(over="ignore"):  # np.linspace overflows on its way to t_end too
+        grid = np.linspace(0.0, t_end, n + 1)
+    assert np.concatenate(blocks).tobytes() == grid.tobytes()
 
 
 @pytest.mark.parametrize("floor", [-1e-5, 1e-10, 5e-10, 1e-9, 1.5e-9, 3e-9, 1e-6, 1e-3])
@@ -653,6 +674,12 @@ def test_refiner_stays_within_twice_bisection(name):
     evals = len(refine_logged(f, lo, hi, xtol, ftol)[2])
     assert evals <= 2 * plain_bisection_evals(f, lo, hi, f(hi), xtol, ftol)
     assert evals < _scan._MAX_EVALS
+
+
+def test_refiner_converges_on_a_bracket_near_the_float_maximum():
+    # The midpoint of 1e308 and 1.7e308 is finite, but their sum is not.
+    t, _ = bisect_root(lambda x: (1.5e308 - x) / 1e308, 1e308, 1.7e308, 0.5, -0.2, 1e296, 1e-11)
+    assert abs(t - 1.5e308) <= 1e296
 
 
 @pytest.mark.parametrize("f_lo, f_hi", [(2.0, 3.0), (0.0, -1.0), (-1.0, -2.0), (1.0, 1e-300),
