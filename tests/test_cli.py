@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import sys
 import warnings
 
 import numpy as np
@@ -52,13 +51,17 @@ class TestDiscriminate:
         assert report["g_infimum"] > 0
 
     # find_t_perp never orthogonalizes a pair of scalar operators, and no
-    # bound is finite for one, so the report has no bounds block.
+    # bound is finite for one, so the report has no bounds block.  A span of
+    # 5e-324 acts the same: its half-spans underflow to zero, and the default
+    # horizon, which pi / L would overflow, is capped at the largest float.
     @pytest.mark.parametrize("payload", [
         {"dim": 2, "H_a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
          "H_b": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]},
         {"dim": 1, "H_a": [[[1, 0]]], "H_b": [[[2, 0]]]},
         {"qubit": {"omega_a": 0, "omega_b": 0, "gamma": 1}},
-    ], ids=["dim_2", "dim_1", "qubit"])
+        {"dim": 2, "H_a": [[[5e-324, 0], [0, 0]], [[0, 0], [0, 0]]],
+         "H_b": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]},
+    ], ids=["dim_2", "dim_1", "qubit", "subnormal_span"])
     @pytest.mark.parametrize("command, exit_code", [("discriminate", 2), ("bounds", 0)])
     def test_scalar_pair_has_null_bounds(self, tmp_path, capsys, payload, command, exit_code):
         path = write_problem(tmp_path, payload)
@@ -66,21 +69,6 @@ class TestDiscriminate:
         assert (code, err) == (exit_code, "")
         report = json.loads(out)
         assert report["found"] is False and report["bounds"] is None
-
-    # A span of 5e-324 makes the default horizon pi / L overflow; capped at
-    # the largest float, the pair reports no orthogonality, and its half-spans
-    # underflow to zero, so it has no bounds either.
-    @pytest.mark.parametrize("command, exit_code", [("discriminate", 2), ("bounds", 0)])
-    def test_subnormal_span_has_a_finite_default_horizon(self, tmp_path, capsys, command,
-                                                         exit_code):
-        zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-        path = write_problem(tmp_path, {"dim": 2, "H_a": [[[5e-324, 0], [0, 0]], [[0, 0], [0, 0]]],
-                                        "H_b": zero})
-        code, out, err = run_cli([command, "--input", path], capsys)
-        assert (code, err) == (exit_code, "")
-        report = json.loads(out)
-        assert report["found"] is False and report["bounds"] is None
-        assert report.get("t_max", sys.float_info.max) == sys.float_info.max
 
     def test_qubit_shorthand_anti_aligned(self, tmp_path, capsys):
         path = write_problem(tmp_path, {

@@ -218,9 +218,11 @@ def test_block_cap_is_respected():
         assert max(sizes) == _scan._MAX_BLOCK
 
 
-# (t_end / n) * n is not t_end for (0.1, 200000), (7.965, 63) and (7.299, 65).
+# (t_end / n) * n is not t_end for (0.1, 200000), (7.965, 63) and (7.299, 65),
+# and overflows for (float max, 63) and (float max, 15), which the suite's
+# error::RuntimeWarning filter turns into a failure.
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200_000, B - 1, B, B + 1])
-@pytest.mark.parametrize("t_end", [1.0, 0.1, 7.965, 7.299, np.pi * 1e7])
+@pytest.mark.parametrize("t_end", [1.0, 0.1, 7.965, 7.299, np.pi * 1e7, sys.float_info.max])
 def test_abscissae_are_the_linspace_grid(n, t_end):
     blocks = []
 
@@ -230,26 +232,9 @@ def test_abscissae_are_the_linspace_grid(n, t_end):
 
     hit = first_root(rising, t_end, n, LIP, XTOL, FTOL, min(1.0, LIP * t_end / n))
     assert hit == RootHit(0.0, 1.0, "none")
-    # Bit for bit, so also at every block edge and at the last point.
-    assert np.concatenate(blocks).tobytes() == np.linspace(0.0, t_end, n + 1).tobytes()
-
-
-# n (t_end / n) rounds past the float maximum for n = 63 and 2001 (the grid
-# count of find_t_perp's capped default horizon), where the suite's
-# error::RuntimeWarning filter turns the overflow into a failure.
-@pytest.mark.parametrize("n", [1, 63, 2000, 2001])
-def test_grid_ending_at_the_float_maximum_does_not_overflow(n):
-    t_end = sys.float_info.max
-    blocks = []
-
-    def flat(t):
-        blocks.append(t.copy())
-        return np.ones(t.size)
-
-    # A flat curve has slope bound 0: no touch hunt, one pass over the grid.
-    assert first_root(flat, t_end, n, 0.0, XTOL, FTOL, 1.0) == RootHit(0.0, 1.0, "none")
-    with np.errstate(over="ignore"):  # np.linspace overflows on its way to t_end too
+    with np.errstate(over="ignore"):  # np.linspace itself may overflow near the float maximum
         grid = np.linspace(0.0, t_end, n + 1)
+    # Bit for bit, so also at every block edge and at the last point.
     assert np.concatenate(blocks).tobytes() == grid.tobytes()
 
 
