@@ -229,7 +229,8 @@ def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     step is t_max / ``SCAN_POINTS``, at most pi/(2L) for the margin's Lipschitz
     constant L = 2 (wa + wb); t_max defaults to ``HORIZON_SPANS`` span lower
     bounds pi/L, capped at the largest float (``sys.float_info.max``) for an
-    L below about 1.75e-306, where it overflows, and a crossing is refined to ``REFINE_REL_TOL`` * t_max.
+    L below about 1.75e-306, where it overflows, and a crossing is refined
+    to ``REFINE_REL_TOL`` * t_max.
     The scan's start bound is the margin's exact value at t = 0: pi, or 2
     for the d = 2 margin.  A given t_max is checked positive and, like
     alpha, t_max (max|lam| + max|mu|) and the grid count, finite.  Margin
@@ -247,7 +248,7 @@ def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     alpha = linalg._finite(alpha, "alpha")
     if pair_data.lipschitz == 0.0:  # both operators scalar: the product is a global phase forever
         return NoOrthogonality(t_max if t_max is not None else 0.0, np.pi, 0.0)
-    if t_max is None:  # an L below about 1.75e-306 makes the default overflow
+    if t_max is None:
         t_max = min(HORIZON_SPANS * np.pi / pair_data.lipschitz, sys.float_info.max)
     pair_data.checked_time(t_max, "t_max")
     step = min(t_max / SCAN_POINTS, np.pi / (2.0 * pair_data.lipschitz))
