@@ -123,12 +123,14 @@ def bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
     return best_t, best_f
 
 
-def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschitz: float):
+def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschitz: float,
+                f_scalar=None):
     """Refine a bracket suspected of dipping to (or through) zero.
 
     Subsamples the bracket with ``_TOUCH_POINTS`` points and recentres on the
     minimum, for at most ``_TOUCH_ROUNDS`` rounds.  The first nonpositive
-    sample hands its bracket over to ``bisect_root``; a nonpositive first
+    sample hands its bracket over to ``bisect_root``, which evaluates
+    ``f_scalar`` (by default ``f_batch`` on one point); a nonpositive first
     sample, at ``lo`` itself, is the crossing.  Otherwise the dip counts as a
     root only when the refined minimum is <= ``TOUCH_TOL``.  The hunt gives
     up once every interval floor (``_floor``) of one round's samples exceeds
@@ -146,7 +148,7 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschi
             j = int(neg[0])
             if j == 0:
                 return RootHit(float(ts[0]), float(fs[0]), "crossing")
-            t, v = bisect_root(_scalar(f_batch), float(ts[j - 1]), float(ts[j]),
+            t, v = bisect_root(f_scalar or _scalar(f_batch), float(ts[j - 1]), float(ts[j]),
                                float(fs[j - 1]), float(fs[j]), xtol, ftol)
             return RootHit(t, v, "crossing")
         if np.min(_floor(fs[:-1], fs[1:], lipschitz, np.diff(ts))) > 2.0 * TOUCH_TOL:
@@ -203,15 +205,19 @@ def _lower(low, ts, fs):
 
 
 def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
-               ftol: float, f0: float) -> RootHit:
+               ftol: float, f0: float, f_scalar=None) -> RootHit:
     """Earliest root on [0, ``t_end``] of a curve that starts strictly
     positive, scanned on the uniform grid of ``n`` >= 1 intervals.
 
-    ``f_batch`` maps an array of abscissae to an array of values.  It is
-    called on consecutive blocks of the grid, each computed as
-    ``np.arange(start, stop) * (t_end / n)`` over the indices below n, with
-    exactly ``t_end`` appended for index n (n times the step may overflow
-    near the float maximum): bit for bit the points of
+    ``f_batch`` maps an array of abscissae to an array of values, and the
+    optional ``f_scalar`` maps one float to a float: every crossing
+    refinement (``bisect_root``), the touch hunt's included, evaluates
+    ``f_scalar``, by default ``f_batch`` on a one-point array.  A caller
+    whose scalar route gives the batch route's bits keeps the result bit
+    for bit.  ``f_batch`` is called on consecutive blocks of the grid, each
+    computed as ``np.arange(start, stop) * (t_end / n)`` over the indices
+    below n, with exactly ``t_end`` appended for index n (n times the step
+    may overflow near the float maximum): bit for bit the points of
     ``np.linspace(0, t_end, n + 1)``, which is never built.  ``lipschitz``
     bounds the curve's slope and ``f0``, checked positive, is a lower bound
     on its value at 0.  Touch candidates are the positive sampled local
@@ -248,6 +254,7 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
     """
     if not f0 > 0.0:
         raise ValueError(f"scan must start strictly positive, got f0 = {f0!r}")
+    f = f_scalar or _scalar(f_batch)
     step = t_end / n
     window = lipschitz * step
     # b = ceil(f0 / window), the first grid index at or past f0 / L, or 0 for
@@ -273,11 +280,12 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
         neg = np.flatnonzero(new <= 0.0)
         cross = tail.size + int(neg[0]) if neg.size else fs.size
         for j in _touch_candidates(ts[:cross], fs[:cross], lipschitz):
-            hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[j + 1]), xtol, ftol, lipschitz)
+            hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[j + 1]), xtol, ftol, lipschitz,
+                              f)
             if hit is not None:
                 return hit
         if neg.size:
-            t, v = bisect_root(_scalar(f_batch), float(ts[cross - 1]), float(ts[cross]),
+            t, v = bisect_root(f, float(ts[cross - 1]), float(ts[cross]),
                                float(fs[cross - 1]), float(fs[cross]), xtol, ftol)
             return RootHit(t, v, "crossing")
         low = _lower(low, ts[tail.size:], new)

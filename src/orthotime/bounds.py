@@ -35,7 +35,12 @@ def energy_uncertainty(h, psi) -> float:
     under- nor overflows, so the result keeps the scale of h.
     """
     h = linalg.assert_hermitian(h, name="h")
-    psi = linalg.as_unit_state(psi, h.shape[0])
+    return _uncertainty(h, linalg.as_unit_state(psi, h.shape[0]))
+
+
+def _uncertainty(h: np.ndarray, psi: np.ndarray) -> float:
+    """``energy_uncertainty`` of a Hermitian ``h`` in a unit vector ``psi``
+    of its dimension, unchecked."""
     hpsi = h @ psi
     mean = (psi.conj() @ hpsi).real
     return linalg.frobenius(hpsi - mean * psi)
@@ -58,7 +63,12 @@ def _aa_bound(ha, hb, da: float, db: float) -> float:
 
 def spectral_half_span(h) -> float:
     """Half the eigenvalue spread (E_max - E_min) / 2."""
-    values, _ = linalg.herm_eig(h)
+    return _half_span(linalg.assert_hermitian(h))
+
+
+def _half_span(h: np.ndarray) -> float:
+    """``spectral_half_span`` of a Hermitian ``h``, unchecked."""
+    values, _ = linalg._eigh(h)
     return float(values[-1] - values[0]) / 2.0
 
 
@@ -121,7 +131,7 @@ def equality_case_norm(ha, k: float, t: float) -> tuple[float, float]:
     if not k < 0.0:  # NaN fails too
         raise ValueError("k must be negative")
     ha = linalg.assert_hermitian(ha, name="ha")
-    values, _ = linalg.herm_eig(ha)
+    values, _ = linalg._eigh(ha)
     reach = (1.0 - k) * abs(t) * float(np.max(np.abs(values)))
     if reach >= np.pi - linalg.CUT_GUARD:
         raise CutProximityError(
@@ -162,15 +172,32 @@ class BoundsReport:
 
 def bounds_report(ha, hb, psi=None, e_bar: float | None = None) -> BoundsReport:
     """Assemble a BoundsReport; psi enables the uncertainty-based entries and
-    e_bar the difference-generator bound."""
+    e_bar the difference-generator bound.
+
+    Each input is checked once, in this order: the pair's shapes, the
+    Hermiticity of ha and of hb, then, once the span bound has named a
+    scalar pair, the state, and last e_bar.  The entries are the values of
+    ``spectral_half_span``, ``energy_uncertainty``, ``aa_lower_bound``,
+    ``span_lower_bound`` and ``margolus_bound``, bit for bit.
+    """
     ha, hb = linalg._square_pair(ha, hb, ("ha", "hb"))
-    span_a = spectral_half_span(ha)
-    span_b = spectral_half_span(hb)
+    ha, hb = linalg.assert_hermitian(ha), linalg.assert_hermitian(hb)
+    return _report(ha, hb, psi, e_bar, check_state=True)
+
+
+def _report(ha: np.ndarray, hb: np.ndarray, psi, e_bar: float | None,
+            check_state: bool = False) -> BoundsReport:
+    """``bounds_report`` on Hermitian ``ha`` and ``hb`` of one shape, which
+    it does not check.  ``psi`` is checked only with ``check_state``;
+    otherwise it must be a unit vector of their dimension, such as a state
+    the caller built."""
+    span_a, span_b = _half_span(ha), _half_span(hb)
     t_span = _span_bound(span_a, span_b)
     delta_a = delta_b = t_aa = None
     if psi is not None:
-        delta_a = energy_uncertainty(ha, psi)
-        delta_b = energy_uncertainty(hb, psi)
+        if check_state:
+            psi = linalg.as_unit_state(psi, ha.shape[0])
+        delta_a, delta_b = _uncertainty(ha, psi), _uncertainty(hb, psi)
         t_aa = _aa_bound(ha, hb, delta_a, delta_b)
     t_marg = margolus_bound(e_bar) if e_bar is not None else None
     return BoundsReport(delta_a, delta_b, span_a, span_b, t_aa, t_span, t_marg)

@@ -86,7 +86,7 @@ def _qubit_problem(omega_a: float, omega_b: float, axis_a, axis_b):
 def qubit_sweep_row(abscissa: float, gamma: float, omega_a: float,
                     omega_b: float) -> SweepRow:
     """One sweep row: closed-form orthogonality time plus all three bounds,
-    from one ``bounds.bounds_report``.
+    from one unchecked ``bounds.bounds_report``.
 
     Normalized time is t * (wa + wb) / (4 pi); the uncertainty bound uses the
     optimal equatorial state at the found time.
@@ -95,7 +95,9 @@ def qubit_sweep_row(abscissa: float, gamma: float, omega_a: float,
                                                      *axes_for_gamma(gamma))
     t_perp = qubit.qubit_t_perp(gamma, omega_a, omega_b)
     psi = None if t_perp is None else qubit.discrimination_state(field_a, field_b, t_perp)
-    report = bounds.bounds_report(ha, hb, psi, e_bar)
+    # qubit_hamiltonian makes ha and hb exactly Hermitian and
+    # discrimination_state makes psi unit, from inputs already checked.
+    report = bounds._report(ha, hb, psi, e_bar)
     if t_perp is None:
         return SweepRow(abscissa, None, None, None, report.t_lb_span, report.t_margolus, False)
     t_norm = t_perp * (omega_a + omega_b) / (4.0 * np.pi)

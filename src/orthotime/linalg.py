@@ -30,7 +30,9 @@ instead.
 This is the package's one home for eigensolvers and norms: every
 eigenphase comes from ``unitary_phases`` (checked, one matrix or a stack),
 ``unitary_eig`` (with a frame) or the scan's unchecked ``_batch_phases``,
-and every matrix norm that must keep its scale from ``frobenius``.  The
+every Hermitian eigensystem from ``herm_eig`` or its unchecked route
+``_eigh``, and every matrix norm that must keep its scale from
+``frobenius``.  The
 module needs numpy only.
 """
 
@@ -186,7 +188,12 @@ def assert_unitary(u, name: str = "matrix") -> np.ndarray:
 
 def herm_eig(h) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    h = assert_hermitian(h)
+    return _eigh(assert_hermitian(h))
+
+
+def _eigh(h) -> EigenSystem:
+    """``herm_eig`` without the Hermiticity check: for a complex square
+    matrix that is Hermitian by construction or was checked already."""
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

@@ -72,10 +72,25 @@ def criterion(gamma: float, omega_a: float, omega_b: float, t):
     """Scalar orthogonality criterion; equals 1 at t = 0 and the bracket of
     the optimal equatorial state vanishes exactly at its roots.
 
-    Accepts a scalar or array ``t``.
+    Accepts a scalar or array ``t``.  A float ``t`` is evaluated in scalar
+    arithmetic, a cos(delta t) + b cos(S t) with ``math.cos``, and gives a
+    float: the same operations as the array path, which ``_two_beats``
+    takes, and so the same bits wherever ``math.cos`` and ``np.cos`` agree.
+    An infinite ``gamma``, or an infinite float ``t``, raises ValueError
+    from ``math``.
     """
-    weights = (np.cos(0.5 * gamma) ** 2, np.sin(0.5 * gamma) ** 2)
-    return _two_beats(weights, (omega_a - omega_b, omega_a + omega_b), np.asarray(t, dtype=float))
+    a, b = _weights(gamma)
+    delta, total = omega_a - omega_b, omega_a + omega_b
+    if isinstance(t, float):
+        return a * math.cos(delta * t) + b * math.cos(total * t)
+    return _two_beats((a, b), (delta, total), np.asarray(t, dtype=float))
+
+
+def _weights(gamma: float) -> tuple[float, float]:
+    """(cos^2(gamma/2), sin^2(gamma/2)), the criterion's aligned and crossed
+    weights."""
+    half = 0.5 * gamma
+    return math.cos(half) ** 2, math.sin(half) ** 2
 
 
 def _two_beats(weights, beats, t):
@@ -106,8 +121,7 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     total = linalg._finite(omega_a + omega_b, "omega_a + omega_b")
     if total == 0:
         raise ValueError("frequencies must not both be zero")
-    a = np.cos(0.5 * gamma) ** 2
-    b = np.sin(0.5 * gamma) ** 2
+    a, b = _weights(gamma)
     # a - b = cos(gamma); treat the gamma = pi/2 boundary (not representable
     # exactly) as the second branch so its horizon-endpoint tangency is kept.
     if a - b > BRANCH_TOL:
@@ -124,11 +138,16 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     # a horizon past about 4.5e307 makes the densified count inf.
     n = int(min(max(SCAN_POINTS, np.ceil(4.0 * horizon * total / np.pi)), 5_000_000))
 
+    # Both look the criterion up at call time, so a replaced one sees every point.
     def f_batch(tt):
         return criterion(gamma, omega_a, omega_b, tt)
 
+    def f(x: float) -> float:
+        return criterion(gamma, omega_a, omega_b, x)
+
     lip = a * abs(omega_a - omega_b) + b * total
-    hit = first_root(f_batch, horizon, n, lip, REFINE_REL_TOL * horizon, REFINE_FTOL, f0=1.0)
+    hit = first_root(f_batch, horizon, n, lip, REFINE_REL_TOL * horizon, REFINE_FTOL, f0=1.0,
+                     f_scalar=f)
     return float(hit.t) if hit.kind != "none" else None
 
 
@@ -148,11 +167,18 @@ def equatorial_state(axis, alpha: float = 0.0) -> np.ndarray:
     imaginary part of the bracket for a rotation about that axis.
     """
     n = _unit_axis(axis)
-    alpha = linalg._finite(alpha, "alpha")
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
-    phi = np.arctan2(n[1], n[0])
-    up = np.array([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)])
-    down = np.array([-np.sin(0.5 * theta) * np.exp(-1j * phi), np.cos(0.5 * theta)])
+    return _equatorial(*n.tolist(), linalg._finite(alpha, "alpha"))
+
+
+def _equatorial(x: float, y: float, z: float, alpha: float) -> np.ndarray:
+    """``equatorial_state`` about the unit axis (x, y, z), unchecked.  The
+    polar angles keep ``np.arccos`` and ``np.arctan2``, whose ``math``
+    counterparts round differently."""
+    theta = np.arccos(min(max(z, -1.0), 1.0))
+    phi = np.arctan2(y, x)
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    up = np.array([c, s * np.exp(1j * phi)])
+    down = np.array([-s * np.exp(-1j * phi), c])
     return (up + np.exp(1j * alpha) * down) / np.sqrt(2.0)
 
 
@@ -178,12 +204,21 @@ def discrimination_state(field_a: QubitField, field_b: QubitField, t: float,
     t = linalg._finite_phase(linalg._finite(t, "t"), 2.0 * max(field_a.omega, field_b.omega),
                              "t * 2 max(omega_a, omega_b)")
     half_a, half_b = 0.5 * (-2.0 * field_a.omega * t), 0.5 * (-2.0 * field_b.omega * t)
-    sa, ca = np.sin(half_a), np.cos(half_a)
-    sb, cb = np.sin(half_b), np.cos(half_b)
-    ra, rb = field_a.axis, field_b.axis
-    vec = -sb * ca * rb + cb * sa * ra - sb * sa * np.cross(ra, rb)
-    size = float(np.linalg.norm(vec))
+    sa, ca = math.sin(half_a), math.cos(half_a)
+    sb, cb = math.sin(half_b), math.cos(half_b)
+    a0, a1, a2 = field_a.axis.tolist()
+    b0, b1, b2 = field_b.axis.tolist()
+    # Each component in scalars, grouped as the vector expression
+    # ((-sb ca) r_b + (cb sa) r_a) - (sb sa) (r_a x r_b) with the cross
+    # product in np.cross's order, so that it rounds as numpy's does.
+    wb, wa, wx = -sb * ca, cb * sa, sb * sa
+    vec = (wb * b0 + wa * a0 - wx * (a1 * b2 - a2 * b1),
+           wb * b1 + wa * a1 - wx * (a2 * b0 - a0 * b2),
+           wb * b2 + wa * a2 - wx * (a0 * b1 - a1 * b0))
+    v = np.array(vec)
+    size = math.sqrt(v.dot(v))  # np.linalg.norm's own sum, with its rounding
     if size == 0.0:
         raise ValueError(f"the two evolutions differ only by a global phase at t = {t!r}; "
                          "no state can discriminate them")
-    return equatorial_state(vec / size, alpha)
+    return _equatorial(vec[0] / size, vec[1] / size, vec[2] / size,
+                       linalg._finite(alpha, "alpha"))

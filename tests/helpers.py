@@ -1,6 +1,9 @@
-"""Shared test fixtures: Pauli matrices and seeded random samplers."""
+"""Shared test fixtures: Pauli matrices, seeded random samplers and a
+counter of linalg calls."""
 
 import numpy as np
+
+from orthotime import linalg
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -42,3 +45,15 @@ def qubit_horizon(gamma, omega_a, omega_b):
     if a - b > 1e-12:
         return np.inf if omega_a == omega_b else np.pi / abs(omega_a - omega_b)
     return np.pi / (omega_a + omega_b)
+
+
+def count_linalg_calls(monkeypatch):
+    """Calls of linalg's Hermitian eigensolver routes and input checks, by
+    name, from here on; only the names called appear."""
+    calls = {}
+    for name in ("herm_eig", "_eigh", "assert_hermitian", "as_unit_state"):
+        def counted(*args, _name=name, _fn=getattr(linalg, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+    return calls

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from orthotime import bounds, linalg, qubit
 from orthotime.discriminate import DiscriminationResult, bracket, find_t_perp
 from orthotime.errors import CutProximityError, DimensionMismatchError, NonHermitianError
-from helpers import SX, SZ, random_axis, random_hermitian, random_state
+from helpers import SX, SZ, count_linalg_calls, random_axis, random_hermitian, random_state
 
 
 class TestEnergyUncertainty:
@@ -241,23 +241,56 @@ class TestBoundsReport:
             assert_allclose(report.geodesic_length_at(report.t_lb_aa), np.pi, atol=1e-12)
 
     def test_each_half_span_is_computed_once(self, monkeypatch):
-        calls = []
-        herm_eig = linalg.herm_eig
-        monkeypatch.setattr(linalg, "herm_eig", lambda h: calls.append(h) or herm_eig(h))
+        # One eigensolve per operator, through the unchecked route: the
+        # operators were checked once already.
+        calls = count_linalg_calls(monkeypatch)
         report = bounds.bounds_report(SZ, 2.0 * SX)
-        assert len(calls) == 2
+        assert calls == {"_eigh": 2, "assert_hermitian": 2}
         assert (report.span_a, report.span_b, report.t_lb_span) == (1.0, 2.0, np.pi / 6)
 
     def test_each_energy_uncertainty_is_computed_once(self, monkeypatch):
-        calls = []
-        uncertainty = bounds.energy_uncertainty
-        monkeypatch.setattr(bounds, "energy_uncertainty",
-                            lambda h, psi: calls.append(h) or uncertainty(h, psi))
+        # One Hermiticity check per operator and one state check in all.
+        calls = count_linalg_calls(monkeypatch)
         psi = np.array([1.0, 1.0j]) / np.sqrt(2.0)
         report = bounds.bounds_report(SZ, 2.0 * SX, psi)
-        assert len(calls) == 2
+        assert calls == {"_eigh": 2, "assert_hermitian": 2, "as_unit_state": 1}
         assert report.t_lb_aa == bounds.aa_lower_bound(SZ, 2.0 * SX, psi)
         assert_allclose((report.delta_E_a, report.delta_E_b), (1.0, 2.0), rtol=1e-15)
+
+    def test_report_is_its_public_pieces_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        for d in range(2, 7):
+            for _ in range(12):
+                scale = 10.0 ** rng.uniform(-3.0, 3.0)
+                ha, hb = (random_hermitian(rng, d, radius=scale) for _ in range(2))
+                psi = random_state(rng, d)
+                e_bar = rng.uniform(0.1, 3.0)
+                pieces = bounds.BoundsReport(
+                    bounds.energy_uncertainty(ha, psi), bounds.energy_uncertainty(hb, psi),
+                    bounds.spectral_half_span(ha), bounds.spectral_half_span(hb),
+                    bounds.aa_lower_bound(ha, hb, psi), bounds.span_lower_bound(ha, hb),
+                    bounds.margolus_bound(e_bar))
+                assert repr(bounds.bounds_report(ha, hb, psi, e_bar)) == repr(pieces)
+
+    def test_checks_keep_their_order_and_messages(self):
+        bad_state = np.ones(3)
+        with pytest.raises(DimensionMismatchError, match="shape mismatch"):
+            bounds.bounds_report(SZ, np.eye(3, dtype=complex), bad_state)
+        with pytest.raises(NonHermitianError,
+                           match=r"^matrix fails the Hermiticity tolerance 1e-12$"):
+            bounds.bounds_report(SZ, SZ + 1e-6j * SX, bad_state)
+        # The scalar pair is named before the state is looked at.
+        with pytest.raises(ValueError, match="both operators are scalar"):
+            bounds.bounds_report(np.eye(2, dtype=complex), 3.0 * np.eye(2, dtype=complex),
+                                 bad_state)
+        with pytest.raises(DimensionMismatchError, match="state shape"):
+            bounds.bounds_report(SZ, SX, bad_state, e_bar=-1.0)
+        with pytest.raises(ValueError, match="state vector must have unit norm"):
+            bounds.bounds_report(SZ, SX, 2.0 * np.array([1.0, 0.0]), e_bar=-1.0)
+        with pytest.raises(ValueError, match="state is an eigenvector of both operators"):
+            bounds.bounds_report(SZ, 2.0 * SZ, np.array([1.0, 0.0]), e_bar=-1.0)
+        with pytest.raises(ValueError, match="average energy must be positive"):
+            bounds.bounds_report(SZ, SX, np.array([1.0, 0.0]), e_bar=-1.0)
 
     def test_rejects_mismatched_or_scalar_pairs(self):
         with pytest.raises(DimensionMismatchError, match="shape mismatch"):

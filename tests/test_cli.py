@@ -1,13 +1,19 @@
 import dataclasses
 import json
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from orthotime import cli, qubit
-from helpers import overflow_pair
+from orthotime import bounds, cli, qubit
+from helpers import count_linalg_calls, overflow_pair
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def run_cli(args, capsys):
@@ -422,6 +428,33 @@ class TestFigureSweeps:
             assert json.loads(out)["bounds"]["t_margolus"] == row.t_margolus
             assert (line.split(",")[5] == "NA") == (row.t_margolus is None)
         assert (omega_ratio == 1.0) == (rows[0].t_margolus is None)
+
+    def test_sweep_row_is_the_checked_assembly_bit_for_bit(self):
+        # Every qubit_sweep benchmark row, rootless and late ones included,
+        # against the same row built from the public, checked functions.
+        for case in workloads.qubit_cases(1):
+            abscissa, gamma, wa, wb = case.args
+            field_a, field_b, ha, hb, e_bar = cli._qubit_problem(wa, wb,
+                                                                 *cli.axes_for_gamma(gamma))
+            t_perp = qubit.qubit_t_perp(gamma, wa, wb)
+            if t_perp is None:
+                report = bounds.bounds_report(ha, hb, None, e_bar)
+                expected = cli.SweepRow(abscissa, None, None, None, report.t_lb_span,
+                                        report.t_margolus, False)
+            else:
+                psi = qubit.discrimination_state(field_a, field_b, t_perp)
+                report = bounds.bounds_report(ha, hb, psi, e_bar)
+                expected = cli.SweepRow(abscissa, t_perp, t_perp * (wa + wb) / (4.0 * np.pi),
+                                        report.t_lb_aa, report.t_lb_span, report.t_margolus,
+                                        True)
+            assert repr(cli.qubit_sweep_row(*case.args)) == repr(expected)
+
+    def test_sweep_row_checks_nothing_twice(self, monkeypatch):
+        # The row's operators and state are built valid, so the bounds run
+        # unchecked: two eigensolves, no Hermiticity or state check.
+        calls = count_linalg_calls(monkeypatch)
+        row = cli.qubit_sweep_row(1.0, 1.0, 3.0, 1.0)
+        assert row.exists and calls == {"_eigh": 2}
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(["fig2", "--points", "7"], capsys)

@@ -65,6 +65,29 @@ class TestCriterion:
     def test_right_angle_equal_frequencies_at_half_pi(self):
         assert abs(qubit.criterion(np.pi / 2, 1.0, 1.0, np.pi / 2)) <= 1e-15
 
+    @settings(max_examples=300, derandomize=True)
+    @given(gamma=st.floats(0.0, np.pi), wa=st.floats(0.0, 5.0), wb=st.floats(0.0, 5.0),
+           x=st.floats(0.0, 1e3))
+    def test_float_time_gives_the_array_bits(self, gamma, wa, wb, x):
+        # The scalar path, the array path and the numpy formula agree exactly.
+        value = qubit.criterion(gamma, wa, wb, x)
+        assert type(value) is float
+        assert value == qubit.criterion(gamma, wa, wb, np.array([x]))[0]
+        old = (np.cos(0.5 * gamma) ** 2 * np.cos((wa - wb) * np.array([x]))
+               + np.sin(0.5 * gamma) ** 2 * np.cos((wa + wb) * np.array([x])))
+        assert value == old[0]
+
+    def test_float_times_give_the_numpy_bits_on_seeded_rows(self):
+        # Wider than the hypothesis sample: the weights' squares and the
+        # cosines round as numpy's scalars and arrays do on every row.
+        rng = np.random.default_rng(47)
+        for _ in range(4000):
+            gamma, wa, wb = rng.uniform(0.0, np.pi), *rng.uniform(0.0, 5.0, size=2)
+            xs = rng.uniform(0.0, 1e3, size=8)
+            old = (np.cos(0.5 * gamma) ** 2 * np.cos((wa - wb) * xs)
+                   + np.sin(0.5 * gamma) ** 2 * np.cos((wa + wb) * xs))
+            assert [qubit.criterion(gamma, wa, wb, x) for x in xs.tolist()] == old.tolist()
+
 
 class TestQubitTPerp:
     def test_aligned_three_to_one(self):
@@ -240,6 +263,34 @@ class TestDiscriminationState:
             return
         ha, hb = qubit.qubit_hamiltonian(fa), qubit.qubit_hamiltonian(fb)
         assert abs(bracket(psi, ha, hb, t) - value) <= 1e-12
+
+    def test_state_is_the_numpy_formula_bit_for_bit(self):
+        # The vector part with np.cross and np.linalg.norm, and the
+        # equatorial state with numpy's trigonometry, as the state was formed
+        # before its scalar steps moved to math.
+        def numpy_equatorial(n, alpha):
+            theta = np.arccos(np.clip(n[2], -1.0, 1.0))
+            phi = np.arctan2(n[1], n[0])
+            up = np.array([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)])
+            down = np.array([-np.sin(0.5 * theta) * np.exp(-1j * phi), np.cos(0.5 * theta)])
+            return (up + np.exp(1j * alpha) * down) / np.sqrt(2.0)
+
+        rng = np.random.default_rng(43)
+        for k in range(500):
+            wa, wb = rng.uniform(0.0, 5.0, size=2)
+            na, nb = random_axis(rng), random_axis(rng)
+            t = 10.0 ** rng.uniform(-3.0, 3.0)
+            alpha = 0.0 if k % 2 else rng.uniform(-np.pi, np.pi)
+            fa, fb = qubit.QubitField(wa, na), qubit.QubitField(wb, nb)
+            half_a, half_b = 0.5 * (-2.0 * wa * t), 0.5 * (-2.0 * wb * t)
+            sa, ca = np.sin(half_a), np.cos(half_a)
+            sb, cb = np.sin(half_b), np.cos(half_b)
+            vec = -sb * ca * nb + cb * sa * na - sb * sa * np.cross(na, nb)
+            axis = vec / float(np.linalg.norm(vec))
+            expected = numpy_equatorial(axis, alpha)
+            assert qubit.equatorial_state(axis, alpha).tobytes() == expected.tobytes()
+            state = qubit.discrimination_state(fa, fb, t, alpha)
+            assert state.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("wb, axis_b, t", [(2.0, X_AXIS, 0.0), (1.0, Z_AXIS, 1.3)],
                              ids=["zero_time", "identical_fields"])

@@ -12,6 +12,9 @@ Runs the checkout's own ``src/`` and prints a digest of each of:
 * the ``repr`` of ``find_t_perp`` on 240 seeded pairs at d = 2-5;
 * the ``repr`` of ``qubit_t_perp`` on 600 seeded rows, with delta/S down to
   1e-5 and gamma near pi/2;
+* the exact ``repr`` (of ``tolist()``, every bit) of
+  ``discrimination_state`` on 600 seeded fields and times, a third of them
+  at the fields' ``qubit_t_perp``;
 * the values of ``bounds.equality_case_norm``, ``theorem.check_induction_step``
   and ``theorem.conjecture_scan`` on seeded unit-scale inputs at d = 2-5,
   the callers of ``linalg.frobenius`` that nothing above digests.
@@ -51,6 +54,7 @@ MATRIX_PROBLEM = {"dim": 2,
 QUBIT_PROBLEM = {"qubit": {"omega_a": 3.0, "omega_b": 1.0, "gamma": math.pi}}
 PAIRS_PER_DIM = 60
 QUBIT_ROWS = 600
+QUBIT_STATES = 600
 NORM_CASES_PER_DIM = 10
 
 
@@ -102,6 +106,27 @@ def qubit_t_perp_reprs() -> str:
     return "\n".join(lines)
 
 
+def qubit_state_reprs() -> str:
+    """States for random unit axes, frequencies in [0, 5] and times
+    log-uniform over [1e-3, 1e3], or at the root when a third row has one;
+    every other state takes a random alpha.  numpy's array repr rounds to
+    8 digits, so each state is printed as a list of Python complexes."""
+    rng = np.random.default_rng(20260104)
+    lines = []
+    for k in range(QUBIT_STATES):
+        na, nb = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
+        wa, wb = rng.uniform(0.0, 5.0, size=2)
+        t = 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 3 == 0:
+            gamma = math.acos(min(max(float(na @ nb), -1.0), 1.0))
+            t = qubit.qubit_t_perp(gamma, wa, wb) or t
+        alpha = rng.uniform(-math.pi, math.pi) if k % 2 else 0.0
+        state = qubit.discrimination_state(qubit.QubitField(wa, na), qubit.QubitField(wb, nb),
+                                           t, alpha)
+        lines.append(repr(state.tolist()))
+    return "\n".join(lines)
+
+
 def norm_helper_reprs() -> str:
     """Each helper's values on seeded Hermitian inputs of spectral radius
     about 1, at steps and times that keep the products off the log cut."""
@@ -136,6 +161,7 @@ def artifacts():
                        lambda command=command, path=path: cli_stdout([command, "--input", path]))
         yield "find_t_perp.d2-5", find_t_perp_reprs
         yield "qubit_t_perp.rows", qubit_t_perp_reprs
+        yield "qubit.states", qubit_state_reprs
         yield "norm_helpers.d2-5", norm_helper_reprs
 
 
