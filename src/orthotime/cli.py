@@ -86,7 +86,8 @@ def _qubit_problem(omega_a: float, omega_b: float, axis_a, axis_b):
 def qubit_sweep_row(abscissa: float, gamma: float, omega_a: float,
                     omega_b: float) -> SweepRow:
     """One sweep row: closed-form orthogonality time plus all three bounds,
-    from one unchecked ``bounds.bounds_report``.
+    from one ``bounds._report``, the unchecked core of
+    ``bounds.bounds_report``.
 
     Normalized time is t * (wa + wb) / (4 pi); the uncertainty bound uses the
     optimal equatorial state at the found time.

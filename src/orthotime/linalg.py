@@ -32,8 +32,7 @@ eigenphase comes from ``unitary_phases`` (checked, one matrix or a stack),
 ``unitary_eig`` (with a frame) or the scan's unchecked ``_batch_phases``,
 every Hermitian eigensystem from ``herm_eig`` or its unchecked route
 ``_eigh``, and every matrix norm that must keep its scale from
-``frobenius``.  The
-module needs numpy only.
+``frobenius``.  The module needs numpy only.
 """
 
 from __future__ import annotations

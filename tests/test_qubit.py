@@ -73,9 +73,9 @@ class TestCriterion:
         value = qubit.criterion(gamma, wa, wb, x)
         assert type(value) is float
         assert value == qubit.criterion(gamma, wa, wb, np.array([x]))[0]
-        old = (np.cos(0.5 * gamma) ** 2 * np.cos((wa - wb) * np.array([x]))
+        formula = (np.cos(0.5 * gamma) ** 2 * np.cos((wa - wb) * np.array([x]))
                + np.sin(0.5 * gamma) ** 2 * np.cos((wa + wb) * np.array([x])))
-        assert value == old[0]
+        assert value == formula[0]
 
     def test_float_times_give_the_numpy_bits_on_seeded_rows(self):
         # Wider than the hypothesis sample: the weights' squares and the
@@ -84,9 +84,9 @@ class TestCriterion:
         for _ in range(4000):
             gamma, wa, wb = rng.uniform(0.0, np.pi), *rng.uniform(0.0, 5.0, size=2)
             xs = rng.uniform(0.0, 1e3, size=8)
-            old = (np.cos(0.5 * gamma) ** 2 * np.cos((wa - wb) * xs)
+            formula = (np.cos(0.5 * gamma) ** 2 * np.cos((wa - wb) * xs)
                    + np.sin(0.5 * gamma) ** 2 * np.cos((wa + wb) * xs))
-            assert [qubit.criterion(gamma, wa, wb, x) for x in xs.tolist()] == old.tolist()
+            assert [qubit.criterion(gamma, wa, wb, x) for x in xs.tolist()] == formula.tolist()
 
 
 class TestQubitTPerp:
@@ -266,8 +266,8 @@ class TestDiscriminationState:
 
     def test_state_is_the_numpy_formula_bit_for_bit(self):
         # The vector part with np.cross and np.linalg.norm, and the
-        # equatorial state with numpy's trigonometry, as the state was formed
-        # before its scalar steps moved to math.
+        # equatorial state with numpy's trigonometry: the scalar steps must
+        # round as numpy does.
         def numpy_equatorial(n, alpha):
             theta = np.arccos(np.clip(n[2], -1.0, 1.0))
             phi = np.arctan2(n[1], n[0])
