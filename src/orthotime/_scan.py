@@ -124,14 +124,14 @@ def bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
 
 
 def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschitz: float,
-                f_scalar=None):
+                f_scalar):
     """Refine a bracket suspected of dipping to (or through) zero.
 
     Subsamples the bracket with ``_TOUCH_POINTS`` points and recentres on the
     minimum, for at most ``_TOUCH_ROUNDS`` rounds.  The first nonpositive
-    sample hands its bracket over to ``bisect_root``, which evaluates
-    ``f_scalar`` (by default ``f_batch`` on one point); a nonpositive first
-    sample, at ``lo`` itself, is the crossing.  Otherwise the dip counts as a
+    sample hands its bracket over to ``bisect_root`` on ``f_scalar``, the
+    curve as a map of one float to a float; a nonpositive first sample, at
+    ``lo`` itself, is the crossing.  Otherwise the dip counts as a
     root only when the refined minimum is <= ``TOUCH_TOL``.  The hunt gives
     up once every interval floor (``_floor``) of one round's samples exceeds
     ``2 * TOUCH_TOL`` (the second ``TOUCH_TOL`` absorbs rounding in the
@@ -148,7 +148,7 @@ def _touch_hunt(f_batch, lo: float, hi: float, xtol: float, ftol: float, lipschi
             j = int(neg[0])
             if j == 0:
                 return RootHit(float(ts[0]), float(fs[0]), "crossing")
-            t, v = bisect_root(f_scalar or _scalar(f_batch), float(ts[j - 1]), float(ts[j]),
+            t, v = bisect_root(f_scalar, float(ts[j - 1]), float(ts[j]),
                                float(fs[j - 1]), float(fs[j]), xtol, ftol)
             return RootHit(t, v, "crossing")
         if np.min(_floor(fs[:-1], fs[1:], lipschitz, np.diff(ts))) > 2.0 * TOUCH_TOL:

@@ -24,7 +24,9 @@ import numpy as np
 from . import discriminate, linalg
 from .errors import CutProximityError, DimensionMismatchError
 
-COMMON_EIGENVECTOR_TOL = 1e-12  # dE_a + dE_b, relative to ||ha||_F + ||hb||_F
+# dE_a + dE_b, relative to the offset-free scale ||ha - (tr ha/d) I||_F +
+# ||hb - (tr hb/d) I||_F, which a scalar shift of either operator leaves alone.
+COMMON_EIGENVECTOR_TOL = 1e-12
 
 
 def energy_uncertainty(h, psi) -> float:
@@ -54,7 +56,8 @@ def aa_lower_bound(ha, hb, psi) -> float:
 
 def _aa_bound(ha, hb, da: float, db: float) -> float:
     total = da + db
-    if total <= COMMON_EIGENVECTOR_TOL * (linalg.frobenius(ha) + linalg.frobenius(hb)):
+    scale = linalg.frobenius(linalg._traceless(ha)) + linalg.frobenius(linalg._traceless(hb))
+    if total <= COMMON_EIGENVECTOR_TOL * scale:
         raise ValueError(
             "state is an eigenvector of both operators; it cannot discriminate them"
         )

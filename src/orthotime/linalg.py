@@ -158,6 +158,12 @@ def frobenius(m) -> float:
     return math.hypot(*np.abs(np.asarray(m, dtype=complex)).ravel().tolist())
 
 
+def _traceless(h) -> np.ndarray:
+    """The square matrix ``h`` less its trace part (tr h / d) I."""
+    h = np.asarray(h)
+    return h - (np.trace(h) / h.shape[0]) * np.eye(h.shape[0])
+
+
 def assert_hermitian(h, name: str = "matrix") -> np.ndarray:
     """Return ``h`` as a complex array, or raise unless ||h||_F is finite
     (so NaN or Inf entries raise) and ||h - h*||_F <= ``HERMITICITY_TOL``

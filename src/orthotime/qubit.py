@@ -1,7 +1,8 @@
 """Closed-form two-level solution.
 
-A precessing spin-1/2 field is (omega, axis, r0) with H = r0 + omega axis.sigma;
-the offset r0 only contributes a global phase and drops out of discrimination.
+A precessing spin-1/2 field is (omega, axis) with H = omega axis.sigma.  A
+scalar offset would only contribute a global phase and drop out of
+discrimination, so a field has none.
 Composing the two evolution rotations on the Bloch sphere reduces the bracket
 to the scalar criterion
 
@@ -24,10 +25,6 @@ import numpy as np
 from . import linalg
 from ._scan import SCAN_POINTS, first_root
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 AXIS_TOL = 1e-12
 BRANCH_TOL = 1e-12
 # Root finding: the refinement tolerance relative to the horizon, and the
@@ -45,27 +42,25 @@ def _unit_axis(axis) -> np.ndarray:
     return a
 
 
-def _dot_sigma(axis: np.ndarray) -> np.ndarray:
-    return axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
-
-
 @dataclass(frozen=True)
 class QubitField:
-    """Finite precession frequency omega >= 0, unit axis, finite scalar offset r0."""
+    """Finite precession frequency omega >= 0 about a unit axis: the field
+    H = omega axis.sigma."""
 
     omega: float
     axis: np.ndarray
-    r0: float = 0.0
 
     def __post_init__(self):
         linalg._finite_nonnegative(self.omega, "omega")
-        linalg._finite(self.r0, "r0")
         object.__setattr__(self, "axis", _unit_axis(self.axis))
 
 
 def qubit_hamiltonian(field: QubitField) -> np.ndarray:
-    """2x2 matrix r0 + omega axis.sigma with eigenvalues r0 -+ omega."""
-    return field.r0 * np.eye(2, dtype=complex) + field.omega * _dot_sigma(field.axis)
+    """2x2 matrix omega axis.sigma with eigenvalues -+ omega.  Every zero
+    real or imaginary part is +0.0 (the trailing + 0j), as in the sum
+    0 I + omega (x sigma_x + y sigma_y + z sigma_z), bit for bit."""
+    wx, wy, wz = (field.omega * c for c in field.axis.tolist())
+    return np.array([[wz, complex(wx, -wy)], [complex(wx, wy), -wz]]) + 0j
 
 
 def criterion(gamma: float, omega_a: float, omega_b: float, t):
@@ -133,20 +128,22 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     if not np.isfinite(horizon):  # a subnormal frequency scale
         raise ValueError(f"horizon ({horizon!r}) gives no finite scan grid count")
     # Densify beyond SCAN_POINTS so the fast beat stays resolved on long
-    # horizons.  The cap bounds the evaluations of a rootless scan; past it
-    # the fast beat is under-resolved.  It is taken in floating point, where
-    # a horizon past about 4.5e307 makes the densified count inf.
+    # horizons.  Every scan ends on a root: on the first branch
+    # f(pi/|delta|) <= b - a < 0, on the second f(pi/S) <= a - b <=
+    # BRANCH_TOL < TOUCH_TOL.  So the cap bounds the cost of a slow-beat
+    # row, not of a rootless scan; past it the fast beat aliases and the
+    # root can come late.  It is taken in floating point, where a horizon
+    # past about 4.5e307 makes the densified count inf.
     n = int(min(max(SCAN_POINTS, np.ceil(4.0 * horizon * total / np.pi)), 5_000_000))
 
-    # Both look the criterion up at call time, so a replaced one sees every point.
-    def f_batch(tt):
-        return criterion(gamma, omega_a, omega_b, tt)
-
-    def f(x: float) -> float:
-        return criterion(gamma, omega_a, omega_b, x)
+    # One evaluator for batches and single floats, as ``criterion`` answers
+    # each in kind; it looks the criterion up at call time, so a replaced
+    # one sees every point.
+    def f(t):
+        return criterion(gamma, omega_a, omega_b, t)
 
     lip = a * abs(omega_a - omega_b) + b * total
-    hit = first_root(f_batch, horizon, n, lip, REFINE_REL_TOL * horizon, REFINE_FTOL, f0=1.0,
+    hit = first_root(f, horizon, n, lip, REFINE_REL_TOL * horizon, REFINE_FTOL, f0=1.0,
                      f_scalar=f)
     return float(hit.t) if hit.kind != "none" else None
 

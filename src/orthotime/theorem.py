@@ -142,7 +142,7 @@ def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int,
     t = linalg._finite_positive(t, "t")
     n_samples = linalg._count(n_samples, "n_samples")
     dim = ha.shape[0]
-    ha = ha - (np.trace(ha) / dim) * np.eye(dim)
+    ha = linalg._traceless(ha)
     norm_a = linalg.frobenius(ha)
     if norm_a == 0.0:
         raise ValueError("ha must be nonzero after trace projection")
@@ -156,8 +156,7 @@ def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int,
     best = 0.0
     for _ in range(n_samples):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        hb = 0.5 * (g + g.conj().T)
-        hb = hb - (np.trace(hb) / dim) * np.eye(dim)
+        hb = linalg._traceless(0.5 * (g + g.conj().T))
         hb = hb * (target / linalg.frobenius(hb))
         best = max(best, generator_norm(hb))
     return ConjectureScan(dim, k_ratio, t, n_samples, int(seed),

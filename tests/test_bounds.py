@@ -54,6 +54,17 @@ class TestAaLowerBound:
         with pytest.raises(ValueError, match="state is an eigenvector of both operators"):
             bounds.aa_lower_bound(SZ, 2.0 * SZ, psi)
 
+    @pytest.mark.parametrize("c", [0.0, 1e6, 1e10, 1e12, 1e14])
+    def test_offset_does_not_move_the_threshold(self, c):
+        # A scalar offset leaves dE_a = 0 and dE_b = 1 in |0>, so the bound
+        # stays pi/2; the threshold is measured on the offset-free parts.
+        shift = c * np.eye(2)
+        assert bounds.aa_lower_bound(SZ + shift, SX + shift, [1.0, 0.0]) == np.pi / 2
+
+    def test_scalar_pair_still_shares_every_eigenvector(self):
+        with pytest.raises(ValueError, match="state is an eigenvector of both operators"):
+            bounds.aa_lower_bound(2.0 * np.eye(2), -3.0 * np.eye(2), [1.0, 0.0])
+
     def test_bound_below_measured_time(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

@@ -486,15 +486,16 @@ class TestMetamorphicRelations:
 
 
 def _offset_qubit_pair(gamma, ratio):
-    """qubit_hamiltonian pair with axes gamma apart, offsets r0 = 0.7 and -1.3,
-    wa + wb = 2 and (wa - wb) / (wa + wb) = ratio."""
+    """qubit_hamiltonian pair with axes gamma apart, scalar offsets 0.7 and
+    -1.3 added to the matrices, wa + wb = 2 and (wa - wb) / (wa + wb) = ratio."""
     rng = np.random.default_rng(59)
     na = random_axis(rng)
     perp = np.cross(na, random_axis(rng))
     nb = np.cos(gamma) * na + np.sin(gamma) * perp / np.linalg.norm(perp)
     wa, wb = 1.0 + ratio, 1.0 - ratio
-    return (wa, wb, qubit.qubit_hamiltonian(qubit.QubitField(wa, na, 0.7)),
-            qubit.qubit_hamiltonian(qubit.QubitField(wb, nb, -1.3)))
+    shift = np.eye(2, dtype=complex)
+    return (wa, wb, 0.7 * shift + qubit.qubit_hamiltonian(qubit.QubitField(wa, na)),
+            -1.3 * shift + qubit.qubit_hamiltonian(qubit.QubitField(wb, nb)))
 
 
 class TestQubitCrossEngine:

@@ -64,7 +64,6 @@ FINITE_SITES = {
     "find_t_perp.alpha": (lambda v: discriminate.find_t_perp(SZ, SX, alpha=v), NON_FINITE),
     "saturating_pair.alpha": (lambda v: bounds.saturating_pair(1.0, 1.0, alpha=v), NON_FINITE),
     "QubitField.omega": (lambda v: qubit.QubitField(v, Z_AXIS), NON_FINITE),
-    "QubitField.r0": (lambda v: qubit.QubitField(1.0, Z_AXIS, r0=v), NON_FINITE),
     "qubit_t_perp.gamma": (lambda v: qubit.qubit_t_perp(v, 1.0, 2.0), NON_FINITE),
     "qubit_t_perp.omega_a": (lambda v: qubit.qubit_t_perp(0.3, v, 2.0), NON_FINITE),
     "qubit_t_perp.omega_b": (lambda v: qubit.qubit_t_perp(0.3, 1.0, v), NON_FINITE),

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from orthotime import bounds, linalg, qubit
-from helpers import SX, SZ, random_axis
+from helpers import I2, SX, SY, SZ, random_axis
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -24,14 +25,27 @@ class TestQubitHamiltonian:
         assert_allclose(h, 2.0 * SX)
         assert_allclose(np.linalg.eigvalsh(h), [-2.0, 2.0])
 
-    def test_eigenvalues_are_offset_plus_minus_omega(self):
+    @settings(max_examples=200, derandomize=True)
+    @given(omega=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308]),
+                           st.floats(0.0, 10.0)),
+           raw=st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))] * 3))
+    def test_matrix_has_the_bits_of_the_pauli_sum(self, omega, raw):
+        # The explicit matrix against 0 I + omega (x sx + y sy + z sz), whose
+        # + 0 I turns every zero real or imaginary part into +0.0.
+        size = math.sqrt(sum(c * c for c in raw))
+        assume(size >= 1e-3)
+        x, y, z = axis = np.array(raw) / size  # keeps the sign of a zero component
+        field = qubit.QubitField(omega, axis)
+        pauli_sum = 0.0 * I2 + field.omega * (x * SX + y * SY + z * SZ)
+        assert qubit.qubit_hamiltonian(field).tobytes() == pauli_sum.tobytes()
+
+    def test_eigenvalues_are_minus_plus_omega(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             omega = rng.uniform(0.1, 4.0)
-            r0 = rng.uniform(-2.0, 2.0)
-            h = qubit.qubit_hamiltonian(qubit.QubitField(omega, random_axis(rng), r0))
+            h = qubit.qubit_hamiltonian(qubit.QubitField(omega, random_axis(rng)))
             values, _ = linalg.herm_eig(h)
-            assert_allclose(values, [r0 - omega, r0 + omega], atol=1e-12)
+            assert_allclose(values, [-omega, omega], atol=1e-12)
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError, match="axis must have unit length"):
@@ -105,6 +119,18 @@ class TestQubitTPerp:
     def test_equal_frequencies_small_angle_has_no_root(self):
         assert qubit.qubit_t_perp(np.pi / 4, 1.0, 1.0) is None
         assert qubit.qubit_t_perp(0.0, 2.0, 2.0) is None
+
+    @settings(max_examples=400, derandomize=True)
+    @given(u=st.floats(0.0, 1.0), near=st.integers(0, 3), total=st.floats(0.5, 4.0),
+           rel=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+    def test_no_root_only_in_the_special_scenario(self, u, near, total, rel):
+        # Orthogonality is reached in every scenario but one: equal
+        # frequencies with cos^2(gamma/2) - sin^2(gamma/2) = cos(gamma) above
+        # BRANCH_TOL.  A quarter of the angles lie within 1e-12 of pi/2.
+        gamma = 0.5 * math.pi + (2.0 * u - 1.0) * 1e-12 if near == 0 else math.pi * u
+        wa, wb = 0.5 * total * (1.0 + rel), 0.5 * total * (1.0 - rel)
+        aligned = math.cos(0.5 * gamma) ** 2 - math.sin(0.5 * gamma) ** 2 > qubit.BRANCH_TOL
+        assert (qubit.qubit_t_perp(gamma, wa, wb) is None) == (wa == wb and aligned)
 
     def test_scan_memory_does_not_grow_with_the_grid(self):
         # 5,000,000 grid intervals, the late root near 31 % of the horizon;
@@ -218,8 +244,8 @@ class TestOffsetInvariance:
             na, nb = random_axis(rng), random_axis(rng)
             plain_a = qubit.qubit_hamiltonian(qubit.QubitField(wa, na))
             plain_b = qubit.qubit_hamiltonian(qubit.QubitField(wb, nb))
-            shifted_a = qubit.qubit_hamiltonian(qubit.QubitField(wa, na, r0=0.9))
-            shifted_b = qubit.qubit_hamiltonian(qubit.QubitField(wb, nb, r0=-1.4))
+            shifted_a = 0.9 * np.eye(2, dtype=complex) + plain_a
+            shifted_b = -1.4 * np.eye(2, dtype=complex) + plain_b
             base = find_t_perp(plain_a, plain_b)
             shifted = find_t_perp(shifted_a, shifted_b)
             assert_allclose(shifted.t_perp, base.t_perp, rtol=1e-9)

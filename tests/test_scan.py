@@ -46,7 +46,8 @@ def full_grid_first_root(f_batch, ts, lipschitz, xtol=XTOL, ftol=FTOL):
             j = k - 1
             minimum = fs[j - 1] >= fs[j] <= fs[k] and fs[j] > 0.0 and fs[k] > 0.0
             if minimum and (low(j - 1) or low(j)):
-                hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[k]), xtol, ftol, np.inf)
+                hit = _touch_hunt(f_batch, float(ts[j - 1]), float(ts[k]), xtol, ftol, np.inf,
+                                  _scalar(f_batch))
                 if hit is not None:
                     return hit
         if fs[k] <= 0.0:
@@ -54,7 +55,8 @@ def full_grid_first_root(f_batch, ts, lipschitz, xtol=XTOL, ftol=FTOL):
                                float(fs[k - 1]), float(fs[k]), xtol, ftol)
             return RootHit(t, v, "crossing")
     if fs[-1] <= fs[-2] and low(n - 2):
-        hit = _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, np.inf)
+        hit = _touch_hunt(f_batch, float(ts[-2]), float(ts[-1]), xtol, ftol, np.inf,
+                          _scalar(f_batch))
         if hit is not None:
             return hit
     k = int(np.argmin(fs))
@@ -243,8 +245,8 @@ def test_abscissae_are_the_linspace_grid(n, t_end):
 def test_touch_hunt_early_exit_matches_full_refinement(floor, shift):
     f = dip_at(200, floor, shift=shift)
     lo, hi = grid()[199], grid()[201]
-    full = _touch_hunt(f, lo, hi, 1e-12, 1e-11, np.inf)
-    assert _touch_hunt(f, lo, hi, 1e-12, 1e-11, lipschitz=LIP) == full
+    full = _touch_hunt(f, lo, hi, 1e-12, 1e-11, np.inf, _scalar(f))
+    assert _touch_hunt(f, lo, hi, 1e-12, 1e-11, LIP, _scalar(f)) == full
 
 
 def test_touch_hunt_gives_up_once_the_dip_clears_the_tolerance():
@@ -257,8 +259,8 @@ def test_touch_hunt_gives_up_once_the_dip_clears_the_tolerance():
             sizes.append(np.size(t))
             return f(t)
 
-        assert _touch_hunt(counted, grid()[199], grid()[201], 1e-12, 1e-11,
-                           lipschitz=lipschitz) is None
+        assert _touch_hunt(counted, grid()[199], grid()[201], 1e-12, 1e-11, lipschitz,
+                           _scalar(counted)) is None
         rounds[lipschitz] = len(sizes)
     assert rounds[LIP] == 1 < rounds[np.inf]
 
@@ -683,7 +685,7 @@ def test_touch_hunt_returns_a_nonpositive_first_subsample_as_the_crossing():
         t = np.asarray(t, dtype=float)
         return np.where(t == 1.0, -1e-16, 1e-3 + (t - 1.0))
 
-    hit = _touch_hunt(f, 1.0, 1.05, 1e-12, 1e-11, lipschitz=LIP)
+    hit = _touch_hunt(f, 1.0, 1.05, 1e-12, 1e-11, LIP, _scalar(f))
     assert hit == RootHit(1.0, -1e-16, "crossing")
 
 

@@ -1,6 +1,7 @@
 """Output fingerprint of the package: one ``name sha256`` line per artifact.
 
     python3 tools/fingerprint.py
+    python3 tools/fingerprint.py --against REV
 
 Runs the checkout's own ``src/`` and prints a digest of each of:
 
@@ -9,7 +10,9 @@ Runs the checkout's own ``src/`` and prints a digest of each of:
 * the stdout and exit code of ``fig1``, ``fig2``, ``verify-theorem --trials
   1000``, and of ``discriminate`` and ``bounds`` on the README's matrix and
   qubit problems;
-* the ``repr`` of ``find_t_perp`` on 240 seeded pairs at d = 2-5;
+* ``find_t_perp`` on 240 seeded pairs at d = 2-5: the ``repr`` of a
+  ``NoOrthogonality``, and of a result's fields with its state as
+  ``tolist()``, every bit;
 * the ``repr`` of ``qubit_t_perp`` on 600 seeded rows, with delta/S down to
   1e-5 and gamma near pi/2;
 * the exact ``repr`` (of ``tolist()``, every bit) of
@@ -20,17 +23,25 @@ Runs the checkout's own ``src/`` and prints a digest of each of:
   the callers of ``linalg.frobenius`` that nothing above digests.
 
 A change that keeps every output bit for bit prints the same lines as its
-parent; run the script in both checkouts and compare.
+parent.  ``--against REV`` checks that: it exports the committed tree of
+REV with ``git archive`` into a temporary directory, puts this script in
+place of the export's copy, runs both sides in fresh processes of this
+interpreter with one BLAS thread, prints ``<artifact> same`` or
+``<artifact> DIFFERS`` per line and exits 1 on any difference.  It writes
+nothing under ``.git`` and removes the export.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -38,7 +49,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # One BLAS thread, as in perfbench/run.py, so that no digest depends on the
 # thread count of the machine.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARS:
     os.environ.setdefault(_var, "1")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
@@ -87,7 +99,10 @@ def find_t_perp_reprs() -> str:
     for dim in range(2, 6):
         for _ in range(PAIRS_PER_DIM):
             ha, hb = (workloads._hermitian(rng, dim) for _ in range(2))
-            lines.append(repr(discriminate.find_t_perp(ha, hb)))
+            out = discriminate.find_t_perp(ha, hb)
+            if isinstance(out, discriminate.DiscriminationResult):
+                out = (out.t_perp, out.pair, out.alpha, out.state.tolist(), out.residual)
+            lines.append(repr(out))
     return "\n".join(lines)
 
 
@@ -165,7 +180,40 @@ def artifacts():
         yield "norm_helpers.d2-5", norm_helper_reprs
 
 
-def main() -> int:
+def fingerprint_lines(root: Path) -> list[str]:
+    """The fingerprint of the checkout at ``root``, from a fresh process."""
+    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
+    done = subprocess.run([sys.executable, str(root / "tools" / "fingerprint.py")], cwd=root,
+                          env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return done.stdout.splitlines()
+
+
+def against(rev: str) -> int:
+    """Compare this checkout's fingerprint with that of the committed ``rev``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        export = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 stdout=subprocess.PIPE, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(export)], input=archive, check=True)
+        (export / "tools").mkdir(exist_ok=True)
+        shutil.copyfile(Path(__file__).resolve(), export / "tools" / "fingerprint.py")
+        theirs = dict(line.split() for line in fingerprint_lines(export))
+    ours = dict(line.split() for line in fingerprint_lines(ROOT))
+    differs = 0
+    for name in dict.fromkeys([*theirs, *ours]):
+        same = name in theirs and theirs.get(name) == ours.get(name)
+        differs += not same
+        print(name, "same" if same else "DIFFERS", flush=True)
+    return 1 if differs else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the committed tree of git revision REV")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against)
     for name, make in artifacts():
         print(name, _digest(make()), flush=True)
     return 0
