@@ -56,8 +56,11 @@ def aa_lower_bound(ha, hb, psi) -> float:
 
 def _aa_bound(ha, hb, da: float, db: float) -> float:
     total = da + db
-    scale = linalg.frobenius(linalg._traceless(ha)) + linalg.frobenius(linalg._traceless(hb))
-    if total <= COMMON_EIGENVECTOR_TOL * scale:
+    # ||h - (tr h/d) I||_F <= ||h||_F, so the full norms, which need no
+    # trace removal, clear almost every state first.
+    if (total <= COMMON_EIGENVECTOR_TOL * (linalg.frobenius(ha) + linalg.frobenius(hb))
+            and total <= COMMON_EIGENVECTOR_TOL * (linalg.frobenius(linalg._traceless(ha))
+                                                   + linalg.frobenius(linalg._traceless(hb)))):
         raise ValueError(
             "state is an eigenvector of both operators; it cannot discriminate them"
         )

@@ -28,6 +28,13 @@ def overflow_pair(dim):
     return ha, hb
 
 
+def haar_unitary(rng, dim):
+    """Haar-random unitary: QR of a complex Gaussian, column phases fixed."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def random_state(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

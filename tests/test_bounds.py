@@ -53,6 +53,8 @@ class TestAaLowerBound:
         psi = np.array([1.0, 0.0], complex)
         with pytest.raises(ValueError, match="state is an eigenvector of both operators"):
             bounds.aa_lower_bound(SZ, 2.0 * SZ, psi)
+        with pytest.raises(ValueError, match="state is an eigenvector of both operators"):
+            bounds.aa_lower_bound(2.0 * np.eye(2), -3.0 * np.eye(2), psi)  # offset-free scale 0
 
     @pytest.mark.parametrize("c", [0.0, 1e6, 1e10, 1e12, 1e14])
     def test_offset_does_not_move_the_threshold(self, c):
@@ -60,10 +62,6 @@ class TestAaLowerBound:
         # stays pi/2; the threshold is measured on the offset-free parts.
         shift = c * np.eye(2)
         assert bounds.aa_lower_bound(SZ + shift, SX + shift, [1.0, 0.0]) == np.pi / 2
-
-    def test_scalar_pair_still_shares_every_eigenvector(self):
-        with pytest.raises(ValueError, match="state is an eigenvector of both operators"):
-            bounds.aa_lower_bound(2.0 * np.eye(2), -3.0 * np.eye(2), [1.0, 0.0])
 
     def test_bound_below_measured_time(self):
         rng = np.random.default_rng(7)

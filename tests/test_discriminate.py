@@ -20,8 +20,8 @@ from orthotime.discriminate import (
     product_unitary,
 )
 from orthotime.errors import ConvergenceError, DimensionMismatchError
-from helpers import (SX, SZ, overflow_pair, qubit_horizon, random_axis, random_hermitian,
-                     random_state)
+from helpers import (SX, SZ, haar_unitary, overflow_pair, qubit_horizon, random_axis,
+                     random_hermitian, random_state)
 
 
 class TestProductUnitary:
@@ -398,18 +398,12 @@ class TestFindTPerp:
         assert isinstance(out, NoOrthogonality)
 
 
-def _haar(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def _kernel_pairs():
     """Seeded pairs at d = 1..8, and an hb with a threefold eigenvalue."""
     rng = np.random.default_rng(43)
     pairs = [(random_hermitian(rng, d, radius=2.0), random_hermitian(rng, d, radius=2.0))
              for d in range(1, 9)]
-    q = _haar(rng, 5)
+    q = haar_unitary(rng, 5)
     hb = (q * np.array([0.7, 0.7, 0.7, -1.1, 1.9])) @ q.conj().T
     pairs.append((random_hermitian(rng, 5, radius=2.0), hb))
     return pairs
@@ -456,7 +450,8 @@ class TestMetamorphicRelations:
         ha, hb = _metamorphic_pair(dim)
         base = find_t_perp(ha, hb)
         assert isinstance(base, DiscriminationResult)
-        self.check_invariances_and_scaling(ha, hb, base, _haar(np.random.default_rng(53), dim))
+        q = haar_unitary(np.random.default_rng(53), dim)
+        self.check_invariances_and_scaling(ha, hb, base, q)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]))
@@ -465,7 +460,7 @@ class TestMetamorphicRelations:
         ha, hb = random_hermitian(rng, dim, radius=1.5), random_hermitian(rng, dim, radius=1.5)
         base = find_t_perp(ha, hb)
         assume(isinstance(base, DiscriminationResult))  # a root inside the default horizon
-        self.check_invariances_and_scaling(ha, hb, base, _haar(rng, dim))
+        self.check_invariances_and_scaling(ha, hb, base, haar_unitary(rng, dim))
 
     @staticmethod
     def check_invariances_and_scaling(ha, hb, base, q):

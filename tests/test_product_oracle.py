@@ -22,7 +22,7 @@ from orthotime import bounds
 from orthotime._scan import TOUCH_TOL
 from orthotime.discriminate import (HORIZON_SPANS, REFINE_REL_TOL, DiscriminationResult,
                                     NoOrthogonality, find_t_perp)
-from helpers import SX, SY, SZ, random_axis
+from helpers import SX, SY, SZ, haar_unitary, random_axis
 
 REF_POINTS = 200_000  # reference scan intervals over the horizon
 REF_CHUNK = 8192
@@ -36,12 +36,6 @@ def _spin(omega, axis, site, n):
     for k in range(n):
         out = np.kron(out, op if k == site else np.eye(2))
     return out
-
-
-def _haar(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def _pair(factors, w):
@@ -108,7 +102,7 @@ def _cases():
                               for k in range(3 * CASES_PER_SIZE)])
 def test_find_t_perp_matches_the_product_reference(factors):
     rng = np.random.default_rng(len(factors))
-    ha, hb = _pair(factors, _haar(rng, 2 ** len(factors)))
+    ha, hb = _pair(factors, haar_unitary(rng, 2 ** len(factors)))
     t_max = _default_horizon(factors)
     ref = _reference_root(factors, t_max)
     assert ref is not None
@@ -131,7 +125,7 @@ def test_touch_beside_a_spectator_spin():
     ts = np.linspace(0.0, 2.0, REF_POINTS + 1)
     assert _criterion(factors, ts).min() >= 0.0  # no crossing on [0, 2]
     assert _criterion(factors, 0.5 * np.pi) <= TOUCH_TOL  # the reference minimum: a root
-    ha, hb = _pair(factors, _haar(rng, 4))
+    ha, hb = _pair(factors, haar_unitary(rng, 4))
     out = find_t_perp(ha, hb, t_max=2.0)
     assert isinstance(out, DiscriminationResult)
     assert _criterion(factors, out.t_perp) <= TOUCH_TOL  # the touch rule
@@ -146,7 +140,7 @@ def test_late_root_past_the_default_horizon():
     rng = np.random.default_rng(11)
     slow, spectator = _factor(rng, gamma=0.3), random_axis(rng)
     factors = [(1.01, slow[1], 0.99, slow[3]), (5.0, spectator, 5.0, spectator)]
-    ha, hb = _pair(factors, _haar(rng, 4))
+    ha, hb = _pair(factors, haar_unitary(rng, 4))
     horizon = _default_horizon(factors)
     assert horizon == pytest.approx(100.0 * np.pi / 24.0)
     assert _reference_root(factors, horizon) is None
