@@ -201,17 +201,17 @@ def against(rev: str) -> int:
     ours = dict(line.split() for line in fingerprint_lines(ROOT))
     differs = 0
     for name in dict.fromkeys([*theirs, *ours]):
-        same = name in theirs and theirs.get(name) == ours.get(name)
+        same = theirs.get(name) == ours.get(name)
         differs += not same
         print(name, "same" if same else "DIFFERS", flush=True)
     return 1 if differs else 0
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REV",
                         help="compare with the committed tree of git revision REV")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.against is not None:
         return against(args.against)
     for name, make in artifacts():
