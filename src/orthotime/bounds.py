@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import discriminate, linalg
-from .errors import CutProximityError, DimensionMismatchError
+from . import linalg
+from .errors import DimensionMismatchError
 
 # dE_a + dE_b, relative to the offset-free scale ||ha - (tr ha/d) I||_F +
 # ||hb - (tr hb/d) I||_F, which a scalar shift of either operator leaves alone.
@@ -121,32 +121,6 @@ def saturating_pair(omega_a: float, omega_b: float, dim: int = 2,
     psi[0] = 1.0 / np.sqrt(2.0)
     psi[1] = np.exp(1j * alpha) / np.sqrt(2.0)
     return ha, hb, psi
-
-
-def equality_case_norm(ha, k: float, t: float) -> tuple[float, float]:
-    """Both sides of the norm identity for the anti-aligned proportional pair
-    hb = k ha with k < 0:
-
-        || log(e^{i hb t} e^{-i ha t}) ||_F   vs   ||ha t||_F + ||hb t||_F.
-
-    The pair commutes, so the product generator is (1 - k) ha t and the two
-    sides agree exactly; this is the equality case of the subadditivity of
-    principal-log norms.  Requires the spectrum of (1 - k) t ha to stay
-    inside (-pi, pi), else the principal log would cross its cut.
-    """
-    if not k < 0.0:  # NaN fails too
-        raise ValueError("k must be negative")
-    ha = linalg.assert_hermitian(ha, name="ha")
-    values, _ = linalg._eigh(ha)
-    reach = (1.0 - k) * abs(t) * float(np.max(np.abs(values)))
-    if reach >= np.pi - linalg.CUT_GUARD:
-        raise CutProximityError(
-            f"(1 - k) t ha reaches phase {reach:.6f}; reduce t to stay off the cut"
-        )
-    hb = k * ha
-    lhs = linalg.principal_log_norm(discriminate.product_unitary(ha, hb, t))
-    rhs = abs(t) * linalg.frobenius(ha) + abs(t) * linalg.frobenius(hb)
-    return lhs, rhs
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Dense complex linear-algebra kernel.
 
 Spectral operations for Hermitian and unitary matrices: eigendecompositions,
-eigenphases, the unitary exponential of a Hermitian generator, the principal
-logarithm of a unitary and its Frobenius norm, unit-state validation, and the
-divided-difference (directional) derivative of the matrix logarithm at a
-diagonal point.
+eigenphases, the principal logarithm of a unitary and its Frobenius norm,
+unit-state validation, and the divided-difference (directional) derivative
+of the matrix logarithm at a diagonal point.
 
 Eigenphases follow the half-open convention (-pi, pi]; a tie at -pi is
 remapped to +pi.  All functions are pure and never modify their inputs, so
@@ -343,19 +342,6 @@ def _largest_arc(phases) -> tuple[np.ndarray, np.ndarray]:
     np.subtract(phases[:, 1:], phases[:, :-1], out=arcs[:, :-1])
     np.subtract(2.0 * np.pi, phases[:, -1] - phases[:, 0], out=arcs[:, -1])
     return arcs.max(axis=1), arcs.argmax(axis=1)
-
-
-def expm_i(h, t: float) -> np.ndarray:
-    """Evolution factor exp(-i h t) for Hermitian h, computed spectrally.
-
-    The spectral route is exact up to eigensolver error and unitary by
-    construction, which is why it is preferred over a series or Pade form.
-    ``t`` and t max|h| are checked finite.
-    """
-    t = _finite(t, "t")
-    values, vectors = herm_eig(h)
-    _finite_phase(t, float(np.abs(values).max()), "t * max|h|")
-    return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
 
 
 def principal_log_u(u) -> np.ndarray:

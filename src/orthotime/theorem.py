@@ -10,10 +10,12 @@ generator Z(s) of e^{i Z(s)} = e^{i X} e^{i s Y} satisfies
 ||Z(s)||_F <= ||X||_F + s ||Y||_F, provided the path never crosses the cut.
 This module samples seeded random instances of the endpoint inequality and
 checks the finite-step induction inequality along the path, one step at a
-time; it also scans the related maximality statement: among traceless
-Hermitian hb of fixed Frobenius norm, the norm of the product generator
-log(e^{i hb t} e^{-i ha t}) / t is largest for hb proportional to ha with a
-negative constant.
+time.  It evaluates both sides of the equality case, the commuting
+anti-aligned pair hb = k ha with k < 0, and scans the related maximality
+statement: among traceless Hermitian hb of fixed Frobenius norm, the norm
+of the product generator log(e^{i hb t} e^{-i ha t}) / t is largest for hb
+proportional to ha with a negative constant.  Every product of evolution
+factors comes from ``discriminate.product_unitary``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discriminate, linalg
+from .errors import CutProximityError
 
 
 @dataclass(frozen=True)
@@ -108,11 +111,6 @@ def run_trials(n_trials: int, dim_max: int, seed: int) -> list[TheoremTrial]:
     return trials
 
 
-def _path_point(x, y, s: float) -> np.ndarray:
-    """e^{i x} e^{i s y}."""
-    return linalg.expm_i(-np.asarray(x, complex), 1.0) @ linalg.expm_i(-np.asarray(y, complex), float(s))
-
-
 def check_induction_step(x, y, s: float, ds: float) -> tuple[float, float]:
     """(||Z(s + ds)||_F, ||Z(s)||_F + ds ||Y||_F) for the path generator Z.
 
@@ -121,9 +119,36 @@ def check_induction_step(x, y, s: float, ds: float) -> tuple[float, float]:
     """
     if not 0.0 <= s <= s + ds <= 1.0:
         raise ValueError("need 0 <= s <= s + ds <= 1")
-    z1 = linalg.principal_log_norm(_path_point(x, y, s + ds))
-    z0 = linalg.principal_log_norm(_path_point(x, y, s))
+    y = np.asarray(y, complex)
+    z1 = linalg.principal_log_norm(discriminate.product_unitary(-(s + ds) * y, x, 1.0))
+    z0 = linalg.principal_log_norm(discriminate.product_unitary(-s * y, x, 1.0))
     return z1, z0 + ds * linalg.frobenius(y)
+
+
+def equality_case_norm(ha, k: float, t: float) -> tuple[float, float]:
+    """Both sides of the norm identity for the anti-aligned proportional pair
+    hb = k ha with k < 0:
+
+        || log(e^{i hb t} e^{-i ha t}) ||_F   vs   ||ha t||_F + ||hb t||_F.
+
+    The pair commutes, so the product generator is (1 - k) ha t and the two
+    sides agree exactly; this is the equality case of the subadditivity of
+    principal-log norms.  Requires the spectrum of (1 - k) t ha to stay
+    inside (-pi, pi), else the principal log would cross its cut.
+    """
+    if not k < 0.0:  # NaN fails too
+        raise ValueError("k must be negative")
+    ha = linalg.assert_hermitian(ha, name="ha")
+    values, _ = linalg._eigh(ha)
+    reach = (1.0 - k) * abs(t) * float(np.max(np.abs(values)))
+    if reach >= np.pi - linalg.CUT_GUARD:
+        raise CutProximityError(
+            f"(1 - k) t ha reaches phase {reach:.6f}; reduce t to stay off the cut"
+        )
+    hb = k * ha
+    lhs = linalg.principal_log_norm(discriminate.product_unitary(ha, hb, t))
+    rhs = abs(t) * linalg.frobenius(ha) + abs(t) * linalg.frobenius(hb)
+    return lhs, rhs
 
 
 def conjecture_scan(ha, k_ratio: float, t: float, n_samples: int,

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from orthotime import bounds, linalg, qubit
 from orthotime.discriminate import DiscriminationResult, bracket, find_t_perp
-from orthotime.errors import CutProximityError, DimensionMismatchError, NonHermitianError
+from orthotime.errors import DimensionMismatchError, NonHermitianError
 from helpers import SX, SZ, count_linalg_calls, random_axis, random_hermitian, random_state
 
 
@@ -160,8 +161,8 @@ class TestBrodyTime:
             out = find_t_perp(ha, hb)
             assert isinstance(out, DiscriminationResult)
             psi = out.state
-            psi_m = linalg.expm_i(ha, out.t_perp) @ psi
-            psi_f = linalg.expm_i(-hb, out.t_perp) @ psi_m
+            psi_m = scipy.linalg.expm(-1j * out.t_perp * ha) @ psi
+            psi_f = scipy.linalg.expm(1j * out.t_perp * hb) @ psi_m
             assert abs(psi.conj() @ psi_f) <= 1e-8
             alpha_a = 2.0 * np.arccos(min(abs(psi.conj() @ psi_m), 1.0))
             alpha_b = 2.0 * np.arccos(min(abs(psi_m.conj() @ psi_f), 1.0))
@@ -188,48 +189,6 @@ class TestSaturatingPair:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError, match="omega_a must be positive"):
             bounds.saturating_pair(0.0, 1.0)
-
-
-class TestEqualityCaseNorm:
-    def test_commuting_z_field(self):
-        lhs, rhs = bounds.equality_case_norm(SZ, -2.0, 0.1)
-        assert_allclose(lhs, 0.3 * np.sqrt(2.0), atol=1e-12)
-        assert_allclose(rhs, 0.3 * np.sqrt(2.0), atol=1e-12)
-
-    def test_commuting_x_field(self):
-        lhs, rhs = bounds.equality_case_norm(SX, -1.0, 0.2)
-        assert_allclose(lhs, 0.4 * np.sqrt(2.0), atol=1e-12)
-        assert_allclose(rhs, 0.4 * np.sqrt(2.0), atol=1e-12)
-
-    def test_equality_random(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            ha = random_hermitian(rng, 4, radius=1.0)
-            k = -rng.uniform(0.2, 3.0)
-            t = rng.uniform(0.01, 0.9 * np.pi / (1.0 - k))
-            lhs, rhs = bounds.equality_case_norm(ha, k, t)
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
-
-    @pytest.mark.parametrize("scale, t", [(1e200, 1e-201), (1e-200, 1e199)])
-    def test_equality_holds_at_extreme_scales(self, scale, t):
-        lhs, rhs = bounds.equality_case_norm(scale * SZ, -1.0, t)
-        assert_allclose([lhs, rhs], 0.2 * np.sqrt(2.0), rtol=1e-12)
-
-    def test_positive_k_rejected(self):
-        with pytest.raises(ValueError, match="k must be negative"):
-            bounds.equality_case_norm(SZ, 1.0, 0.1)
-        # and the proportional aligned pair never discriminates at all
-        for t in (0.3, 1.0, 2.0):
-            psi = np.array([1.0, 1.0], complex) / np.sqrt(2.0)
-            assert abs(abs(bracket(psi, SZ, SZ, t)) - 1.0) <= 1e-12
-
-    def test_nan_k_rejected(self):
-        with pytest.raises(ValueError, match="k must be negative"):
-            bounds.equality_case_norm(SZ, np.nan, 0.1)
-
-    def test_cut_proximity_for_large_t(self):
-        with pytest.raises(CutProximityError):
-            bounds.equality_case_norm(SZ, -2.0, 1.1)
 
 
 class TestBoundsReport:

@@ -427,6 +427,35 @@ class TestKernelReference:
         assert abs(bracket(psi, ha, hb, t) - psi.conj() @ ref @ psi) <= 1e-12
 
 
+class TestCommutingReference:
+    """Rotated commuting pairs at any d: ha = W diag(lam) W*, hb = W diag(mu)
+    W* give U(t) = W diag(e^{i (mu - lam) t}) W*, so with Delta = mu - lam the
+    first orthogonality time is pi / (max Delta - min Delta), exactly."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16),
+           exponent=st.floats(-3.0, 3.0), shifted=st.booleans(),
+           offset=st.floats(-1e4, 1e4))
+    def test_first_time_is_pi_over_the_spread(self, seed, dim, exponent, shifted, offset):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        lam, mu = rng.uniform(-scale, scale, (2, dim))
+        w = haar_unitary(rng, dim)
+        c = offset * scale if shifted else 0.0
+        ha = (w * (lam + c)) @ w.conj().T
+        hb = (w * (mu - c / 2.0)) @ w.conj().T
+        delta = mu - lam
+        t_ref = np.pi / (delta.max() - delta.min())
+        # The default horizon, HORIZON_SPANS span bounds pi / L.
+        t_max = discriminate.HORIZON_SPANS * np.pi / (np.ptp(lam) + np.ptp(mu))
+        out = find_t_perp(ha, hb)
+        if t_ref <= t_max:
+            assert isinstance(out, DiscriminationResult)
+            assert abs(out.t_perp - t_ref) <= discriminate.REFINE_REL_TOL * t_max
+        else:
+            assert isinstance(out, NoOrthogonality)
+
+
 def _metamorphic_pair(dim):
     rng = np.random.default_rng(47 + dim)
     return random_hermitian(rng, dim, radius=1.5), random_hermitian(rng, dim, radius=1.5)

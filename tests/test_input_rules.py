@@ -76,7 +76,6 @@ FINITE_SITES = {
     "bracket.t": (lambda v: discriminate.bracket(I2[0], SZ, SX, v), NON_FINITE),
     "orthogonal_state.alpha": (lambda v: discriminate.orthogonal_state(I2, (0, 1), v),
                                NON_FINITE),
-    "expm_i.t": (lambda v: linalg.expm_i(SZ, v), NON_FINITE),
     "geodesic_length_at.t": (lambda v: bounds.bounds_report(SZ, SX, I2[0]).geodesic_length_at(v),
                              NON_FINITE),
 }

@@ -251,46 +251,6 @@ class TestAsUnitState:
             linalg.as_unit_state(np.array([np.nan, 0.0]), 2)
 
 
-class TestExpmI:
-    def test_zero_time_is_identity(self):
-        rng = np.random.default_rng(3)
-        h = random_hermitian(rng, 4)
-        assert_allclose(linalg.expm_i(h, 0.0), np.eye(4), atol=1e-14)
-
-    def test_diagonal_generator(self):
-        u = linalg.expm_i(SZ, np.pi / 2)
-        assert_allclose(u, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]),
-                        atol=1e-14)
-
-    def test_matches_pade_expm(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            h = random_hermitian(rng, 5, radius=2.0)
-            t = rng.uniform(-3.0, 3.0)
-            assert_allclose(linalg.expm_i(h, t), scipy.linalg.expm(-1j * t * h), atol=1e-12)
-
-    def test_group_law(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            h = random_hermitian(rng, 4, radius=2.0)
-            s, t = rng.uniform(-2.0, 2.0, size=2)
-            lhs = linalg.expm_i(h, s) @ linalg.expm_i(h, t)
-            assert np.linalg.norm(lhs - linalg.expm_i(h, s + t)) <= 1e-10
-
-    def test_output_is_unitary(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            u = linalg.expm_i(random_hermitian(rng, 6, radius=5.0), rng.uniform(0, 10))
-            assert np.linalg.norm(u.conj().T @ u - np.eye(6)) <= 1e-10
-
-    def test_phase_overflow_is_named(self):
-        # 10 * 1e308 overflows, so e^{-i h t} would be NaN.
-        with pytest.raises(ValueError, match=r"^t \* max\|h\| \(1e\+308 \* 10\.0\) is not finite$"):
-            linalg.expm_i(10.0 * SZ, 1e308)
-        u = linalg.expm_i(10.0 * SZ, 1e307)  # the phase 1e308 is still finite
-        assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-12
-
-
 class TestPrincipalLog:
     def test_identity_gives_zero(self):
         assert_allclose(linalg.principal_log_u(np.eye(3, dtype=complex)), 0.0, atol=1e-14)
@@ -305,7 +265,7 @@ class TestPrincipalLog:
         rng = np.random.default_rng(31)
         for _ in range(15):
             h = random_hermitian(rng, 5, radius=rng.uniform(0.1, 3.0))
-            assert_allclose(linalg.principal_log_u(linalg.expm_i(h, 1.0)), -h, atol=1e-11)
+            assert_allclose(linalg.principal_log_u(scipy.linalg.expm(-1j * h)), -h, atol=1e-11)
 
     def test_output_spectrum_in_half_open_interval(self):
         rng = np.random.default_rng(37)
@@ -334,7 +294,7 @@ class TestPrincipalLog:
     def test_norm_is_frobenius_norm_of_log(self):
         rng = np.random.default_rng(41)
         for dim in range(1, 7):
-            u = linalg.expm_i(random_hermitian(rng, dim, radius=3.0), 1.0)
+            u = scipy.linalg.expm(-1j * random_hermitian(rng, dim, radius=3.0))
             assert_allclose(linalg.principal_log_norm(u),
                             linalg.frobenius(linalg.principal_log_u(u)), rtol=0, atol=1e-12)
 

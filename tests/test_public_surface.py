@@ -4,7 +4,8 @@ module constants rather than parameters, the settable values of
 ``find_t_perp`` and of the ``discriminate`` and ``bounds`` commands, the
 rule that the operator-pair, positive-scalar, nonnegative-scalar,
 finite-scalar and count input checks are stated only in ``linalg``, that
-only ``linalg`` calls an eigensolver or an inverse, a package that reports
+only ``linalg`` calls an eigensolver or an inverse, that ``bounds`` imports
+no package module but ``linalg`` and ``errors``, a package that reports
 trouble by raising rather than by warning, and a runtime that imports numpy
 but not scipy."""
 
@@ -132,6 +133,25 @@ def test_only_linalg_calls_an_eigensolver_or_an_inverse():
                     and node.func.value.attr == "linalg"):
                 callers.add(path.name)
     assert callers == {"linalg.py"}
+
+
+def _package_imports(path):
+    """Names of the package modules that the module at ``path`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found |= ({node.module} if node.module else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("orthotime."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("orthotime.")}
+    return found
+
+
+def test_bounds_sits_on_linalg_alone():
+    # The lower bounds need spectra and norms, not the engine or the theorem harness.
+    assert _package_imports(SRC / "bounds.py") == {"linalg", "errors"}
 
 
 def test_no_module_imports_warnings():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from orthotime import linalg, theorem
-from orthotime.errors import DimensionMismatchError, NonUnitaryError
-from helpers import random_hermitian
+from orthotime.discriminate import bracket
+from orthotime.errors import CutProximityError, DimensionMismatchError, NonUnitaryError
+from helpers import SX, SZ, random_hermitian
 
 
 class TestRandomUnitary:
@@ -51,8 +53,8 @@ class TestSubadditivity:
         rng = np.random.default_rng(5)
         for _ in range(50):
             d = int(rng.integers(1, 7))
-            u = linalg.expm_i(random_hermitian(rng, d, radius=np.pi / 4), 1.0)
-            v = linalg.expm_i(random_hermitian(rng, d, radius=np.pi / 4), 1.0)
+            u = scipy.linalg.expm(-1j * random_hermitian(rng, d, radius=np.pi / 4))
+            v = scipy.linalg.expm(-1j * random_hermitian(rng, d, radius=np.pi / 4))
             assert not theorem.check_subadditivity(u, v).skipped
 
     def test_dimension_mismatch(self):
@@ -144,6 +146,71 @@ class TestInductionStep:
             assert lhs == rhs
 
 
+    def test_matches_scipy_references(self):
+        # ||Z(s)||_F is the 2-norm of the eigenphases of e^{iX} e^{isY}; here
+        # both factors come from scipy's Pade exponential.
+        def path_norm(x, y, s):
+            u = scipy.linalg.expm(1j * x) @ scipy.linalg.expm(1j * s * y)
+            return np.linalg.norm(np.angle(np.linalg.eigvals(u)))
+
+        rng = np.random.default_rng(20261020)
+        for _ in range(300):
+            d = int(rng.integers(2, 7))
+            x = random_hermitian(rng, d, radius=np.pi / 4)
+            y = random_hermitian(rng, d, radius=np.pi / 4)
+            s = rng.uniform(0.0, 0.99)
+            ds = rng.uniform(0.0, 1.0 - s)
+            lhs, rhs = theorem.check_induction_step(x, y, s, ds)
+            assert abs(lhs - path_norm(x, y, s + ds)) <= 1e-12
+            assert abs(rhs - (path_norm(x, y, s) + ds * np.linalg.norm(y))) <= 1e-12
+
+    def test_shape_mismatch_is_named(self):
+        with pytest.raises(DimensionMismatchError, match="^shape mismatch"):
+            theorem.check_induction_step(SZ, np.eye(3), 0.1, 0.1)
+
+
+class TestEqualityCaseNorm:
+    def test_commuting_z_field(self):
+        lhs, rhs = theorem.equality_case_norm(SZ, -2.0, 0.1)
+        assert_allclose(lhs, 0.3 * np.sqrt(2.0), atol=1e-12)
+        assert_allclose(rhs, 0.3 * np.sqrt(2.0), atol=1e-12)
+
+    def test_commuting_x_field(self):
+        lhs, rhs = theorem.equality_case_norm(SX, -1.0, 0.2)
+        assert_allclose(lhs, 0.4 * np.sqrt(2.0), atol=1e-12)
+        assert_allclose(rhs, 0.4 * np.sqrt(2.0), atol=1e-12)
+
+    def test_equality_random(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            ha = random_hermitian(rng, 4, radius=1.0)
+            k = -rng.uniform(0.2, 3.0)
+            t = rng.uniform(0.01, 0.9 * np.pi / (1.0 - k))
+            lhs, rhs = theorem.equality_case_norm(ha, k, t)
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
+
+    @pytest.mark.parametrize("scale, t", [(1e200, 1e-201), (1e-200, 1e199)])
+    def test_equality_holds_at_extreme_scales(self, scale, t):
+        lhs, rhs = theorem.equality_case_norm(scale * SZ, -1.0, t)
+        assert_allclose([lhs, rhs], 0.2 * np.sqrt(2.0), rtol=1e-12)
+
+    def test_positive_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be negative"):
+            theorem.equality_case_norm(SZ, 1.0, 0.1)
+        # and the proportional aligned pair never discriminates at all
+        for t in (0.3, 1.0, 2.0):
+            psi = np.array([1.0, 1.0], complex) / np.sqrt(2.0)
+            assert abs(abs(bracket(psi, SZ, SZ, t)) - 1.0) <= 1e-12
+
+    def test_nan_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be negative"):
+            theorem.equality_case_norm(SZ, np.nan, 0.1)
+
+    def test_cut_proximity_for_large_t(self):
+        with pytest.raises(CutProximityError):
+            theorem.equality_case_norm(SZ, -2.0, 1.1)
+
+
 class TestConjectureScan:
     def test_anti_aligned_reaches_exact_value(self):
         rng = np.random.default_rng(29)
@@ -157,7 +224,7 @@ class TestConjectureScan:
         rng = np.random.default_rng(31)
         ha = random_hermitian(rng, 3, radius=1.0)
         ha = ha - (np.trace(ha) / 3) * np.eye(3)
-        prod = linalg.expm_i(-ha, 0.1) @ linalg.expm_i(ha, 0.1)
+        prod = scipy.linalg.expm(0.1j * ha) @ scipy.linalg.expm(-0.1j * ha)
         assert linalg.frobenius(linalg.principal_log_u(prod)) <= 1e-12
 
     def test_no_sample_beats_anti_aligned(self):

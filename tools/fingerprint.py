@@ -18,7 +18,7 @@ Runs the checkout's own ``src/`` and prints a digest of each of:
 * the exact ``repr`` (of ``tolist()``, every bit) of
   ``discrimination_state`` on 600 seeded fields and times, a third of them
   at the fields' ``qubit_t_perp``;
-* the values of ``bounds.equality_case_norm``, ``theorem.check_induction_step``
+* the values of ``theorem.equality_case_norm``, ``theorem.check_induction_step``
   and ``theorem.conjecture_scan`` on seeded unit-scale inputs at d = 2-5,
   the callers of ``linalg.frobenius`` that nothing above digests.
 
@@ -57,7 +57,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from orthotime import bounds, cli, discriminate, qubit, theorem  # noqa: E402
+from orthotime import cli, discriminate, qubit, theorem  # noqa: E402
 
 SEEDS = (1, 7, 201)
 MATRIX_PROBLEM = {"dim": 2,
@@ -154,7 +154,7 @@ def norm_helper_reprs() -> str:
             k, t = -rng.uniform(0.2, 2.0), rng.uniform(0.1, 1.0)
             s, ds = rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)
             scan = theorem.conjecture_scan(x, rng.uniform(0.2, 1.0), 0.5, 8, int(rng.integers(1000)))
-            lines.append(repr((bounds.equality_case_norm(x, k, t),
+            lines.append(repr((theorem.equality_case_norm(x, k, t),
                                theorem.check_induction_step(x, y, s, ds), scan)))
     return "\n".join(lines)
 
