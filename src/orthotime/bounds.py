@@ -13,6 +13,10 @@ Three bounds, in consistent hbar = 1 units:
    difference generator above a zero ground level; e_bar is caller-supplied
    because the difference generator is only the zeroth commutator order of
    the true product generator.
+
+The first two are computed in one place, ``_report``, the core of
+``bounds_report``; ``aa_lower_bound`` and ``span_lower_bound`` return its
+fields.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError
 
-# dE_a + dE_b, relative to the offset-free scale ||ha - (tr ha/d) I||_F +
-# ||hb - (tr hb/d) I||_F, which a scalar shift of either operator leaves alone.
+# dE_a + dE_b, relative to the half-spans wa + wb.  Any state has dE <= w,
+# so the ratio lies in [0, 1], and a scalar shift of either operator moves
+# neither side.
 COMMON_EIGENVECTOR_TOL = 1e-12
 
 
@@ -50,17 +55,17 @@ def _uncertainty(h: np.ndarray, psi: np.ndarray) -> float:
 
 def aa_lower_bound(ha, hb, psi) -> float:
     """pi / (2 (dE_a + dE_b)): no state reaches an orthogonal partner sooner
-    than the projective path length allows."""
-    return _aa_bound(ha, hb, energy_uncertainty(ha, psi), energy_uncertainty(hb, psi))
+    than the projective path length allows.  The ``t_lb_aa`` of
+    ``bounds_report``, with its checks and errors."""
+    return bounds_report(ha, hb, psi).t_lb_aa
 
 
-def _aa_bound(ha, hb, da: float, db: float) -> float:
+def _aa_bound(da: float, db: float, wa: float, wb: float) -> float:
+    """pi / (2 (da + db)) for a state with uncertainties da and db; raises
+    when da + db <= ``COMMON_EIGENVECTOR_TOL`` (wa + wb), with wa and wb the
+    half-spans: the state is then an eigenvector of both operators."""
     total = da + db
-    # ||h - (tr h/d) I||_F <= ||h||_F, so the full norms, which need no
-    # trace removal, clear almost every state first.
-    if (total <= COMMON_EIGENVECTOR_TOL * (linalg.frobenius(ha) + linalg.frobenius(hb))
-            and total <= COMMON_EIGENVECTOR_TOL * (linalg.frobenius(linalg._traceless(ha))
-                                                   + linalg.frobenius(linalg._traceless(hb)))):
+    if total <= COMMON_EIGENVECTOR_TOL * (wa + wb):
         raise ValueError(
             "state is an eigenvector of both operators; it cannot discriminate them"
         )
@@ -80,9 +85,9 @@ def _half_span(h: np.ndarray) -> float:
 
 def span_lower_bound(ha, hb) -> float:
     """pi / (2 wa + 2 wb) from the spectral half-spans; state-independent and
-    sharp (attained by the anti-aligned construction)."""
-    ha, hb = linalg._square_pair(ha, hb, ("ha", "hb"))
-    return _span_bound(spectral_half_span(ha), spectral_half_span(hb))
+    sharp (attained by the anti-aligned construction).  The ``t_lb_span`` of
+    ``bounds_report``, with its checks and errors."""
+    return bounds_report(ha, hb).t_lb_span
 
 
 def _span_bound(wa: float, wb: float) -> float:
@@ -157,8 +162,9 @@ def bounds_report(ha, hb, psi=None, e_bar: float | None = None) -> BoundsReport:
     Each input is checked once, in this order: the pair's shapes, the
     Hermiticity of ha and of hb, then, once the span bound has named a
     scalar pair, the state, and last e_bar.  The entries are the values of
-    ``spectral_half_span``, ``energy_uncertainty``, ``aa_lower_bound``,
-    ``span_lower_bound`` and ``margolus_bound``, bit for bit.
+    ``spectral_half_span``, ``energy_uncertainty`` and ``margolus_bound``,
+    bit for bit; ``aa_lower_bound`` and ``span_lower_bound`` return its
+    ``t_lb_aa`` and ``t_lb_span``.
     """
     ha, hb = linalg._square_pair(ha, hb, ("ha", "hb"))
     ha, hb = linalg.assert_hermitian(ha), linalg.assert_hermitian(hb)
@@ -178,6 +184,6 @@ def _report(ha: np.ndarray, hb: np.ndarray, psi, e_bar: float | None,
         if check_state:
             psi = linalg.as_unit_state(psi, ha.shape[0])
         delta_a, delta_b = _uncertainty(ha, psi), _uncertainty(hb, psi)
-        t_aa = _aa_bound(ha, hb, delta_a, delta_b)
+        t_aa = _aa_bound(delta_a, delta_b, span_a, span_b)
     t_marg = margolus_bound(e_bar) if e_bar is not None else None
     return BoundsReport(delta_a, delta_b, span_a, span_b, t_aa, t_span, t_marg)

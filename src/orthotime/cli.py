@@ -268,12 +268,15 @@ def _state_pairs(state: np.ndarray) -> list[list[float]]:
 def _bounds_dict(problem: Problem, result) -> dict | None:
     """The bounds block, with the state entries when ``result`` was found;
     None for a pair of scalar operators, which no bound is finite for (a
-    found pair never is one, so only the not-found path checks)."""
-    if result is None and (bounds.spectral_half_span(problem.ha)
-                           + bounds.spectral_half_span(problem.hb)) == 0.0:
+    found pair never is one, so only the not-found path checks).
+
+    ``load_problem`` checked the operators and ``find_t_perp`` built the
+    unit state, so they go to the unchecked ``bounds._report``, as in
+    ``qubit_sweep_row``."""
+    if result is None and bounds._half_span(problem.ha) + bounds._half_span(problem.hb) == 0.0:
         return None
     state = None if result is None else result.state
-    report = bounds.bounds_report(problem.ha, problem.hb, state, problem.e_bar)
+    report = bounds._report(problem.ha, problem.hb, state, problem.e_bar)
     out = asdict(report)
     out["geodesic_length_at_t_perp"] = (
         None if result is None else report.geodesic_length_at(result.t_perp)

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 from orthotime import bounds, linalg, qubit
 from orthotime.discriminate import DiscriminationResult, bracket, find_t_perp
 from orthotime.errors import DimensionMismatchError, NonHermitianError
-from helpers import SX, SZ, count_linalg_calls, random_axis, random_hermitian, random_state
+from helpers import (SX, SZ, count_linalg_calls, haar_unitary, random_axis, random_hermitian,
+                     random_state)
 
 
 class TestEnergyUncertainty:
@@ -54,8 +55,8 @@ class TestAaLowerBound:
         psi = np.array([1.0, 0.0], complex)
         with pytest.raises(ValueError, match="state is an eigenvector of both operators"):
             bounds.aa_lower_bound(SZ, 2.0 * SZ, psi)
-        with pytest.raises(ValueError, match="state is an eigenvector of both operators"):
-            bounds.aa_lower_bound(2.0 * np.eye(2), -3.0 * np.eye(2), psi)  # offset-free scale 0
+        with pytest.raises(ValueError, match="both operators are scalar; no finite bound"):
+            bounds.aa_lower_bound(2.0 * np.eye(2), -3.0 * np.eye(2), psi)  # half-spans 0
 
     @pytest.mark.parametrize("c", [0.0, 1e6, 1e10, 1e12, 1e14])
     def test_offset_does_not_move_the_threshold(self, c):
@@ -63,6 +64,34 @@ class TestAaLowerBound:
         # stays pi/2; the threshold is measured on the offset-free parts.
         shift = c * np.eye(2)
         assert bounds.aa_lower_bound(SZ + shift, SX + shift, [1.0, 0.0]) == np.pi / 2
+
+    def test_threshold_is_the_half_span_sum(self):
+        # v is an eigenvector of both operators and psi tilts it by eta
+        # toward u, set so that dE_a + dE_b = r * 1e-12 * (wa + wb): the
+        # bound raises just below the threshold and exists just above it.
+        rng = np.random.default_rng(43)
+        for d in range(2, 7):
+            for _ in range(6):
+                scale = 10.0 ** rng.uniform(-3.0, 3.0)
+                w = haar_unitary(rng, d)
+                v_frame = w.copy()
+                v_frame[:, 1:] = w[:, 1:] @ haar_unitary(rng, d - 1)
+                lam, mu = (rng.uniform(-1.0, 1.0, d) * scale for _ in range(2))
+                ha = (w * lam) @ w.conj().T
+                hb = (v_frame * mu) @ v_frame.conj().T
+                v, u = w[:, 0], w[:, 1]
+                spans = sum(np.ptp(np.linalg.eigvalsh(h)) / 2.0 for h in (ha, hb))
+                slope = abs(lam[0] - lam[1]) + np.linalg.norm(hb @ u - mu[0] * u)
+                for r in (0.8, 1.25):
+                    eta = r * bounds.COMMON_EIGENVECTOR_TOL * spans / slope
+                    psi = np.cos(eta) * v + np.sin(eta) * u
+                    total = bounds.energy_uncertainty(ha, psi) + bounds.energy_uncertainty(hb, psi)
+                    assert_allclose(total / (bounds.COMMON_EIGENVECTOR_TOL * spans), r, rtol=0.1)
+                    if r < 1.0:
+                        with pytest.raises(ValueError, match="state is an eigenvector of both"):
+                            bounds.bounds_report(ha, hb, psi)
+                    else:
+                        assert bounds.bounds_report(ha, hb, psi).t_lb_aa == np.pi / (2.0 * total)
 
     def test_bound_below_measured_time(self):
         rng = np.random.default_rng(7)

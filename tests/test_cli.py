@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from orthotime import bounds, cli, qubit
-from helpers import count_linalg_calls, overflow_pair
+from helpers import count_linalg_calls, overflow_pair, random_hermitian
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -26,6 +26,10 @@ def write_problem(tmp_path, payload):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def matrix_pairs(h):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in h]
 
 
 SZ_PAIR = {
@@ -344,6 +348,43 @@ class TestBoundsCommand:
         report = json.loads(out)
         assert_allclose(report["bounds"]["t_lb_span"], np.pi / 4, rtol=1e-12)
         assert report["found"] is True
+
+    def test_block_is_the_library_report(self, tmp_path, capsys):
+        # Seeded matrix problems, found under the default horizon and not
+        # found under one below the span bound, and the README qubit problem.
+        rng = np.random.default_rng(53)
+        runs = []
+        for d in range(2, 6):
+            for _ in range(3):
+                ha, hb = (random_hermitian(rng, d, radius=rng.uniform(0.5, 2.0))
+                          for _ in range(2))
+                problem = {"dim": d, "H_a": matrix_pairs(ha), "H_b": matrix_pairs(hb)}
+                runs.append((problem, []))
+                runs.append((problem, ["--t-max", repr(0.5 * bounds.span_lower_bound(ha, hb))]))
+        runs.append(({"qubit": {"omega_a": 3.0, "omega_b": 1.0, "gamma": np.pi}}, []))
+        found = []
+        for problem, flags in runs:
+            path = write_problem(tmp_path, problem)
+            code, out, _ = run_cli(["discriminate", "--input", path] + flags, capsys)
+            report = json.loads(out)
+            found.append(report["found"])
+            assert code == (0 if report["found"] else 2)
+            loaded = cli.load_problem(path)
+            state = (np.array([complex(*z) for z in report["state"]]) if report["found"]
+                     else None)
+            library = bounds.bounds_report(loaded.ha, loaded.hb, state, loaded.e_bar)
+            geodesic = library.geodesic_length_at(report["t_perp"]) if report["found"] else None
+            assert report["bounds"] == dict(dataclasses.asdict(library),
+                                            geodesic_length_at_t_perp=geodesic)
+        assert found.count(True) == 13 and found.count(False) == 12
+
+    def test_block_checks_nothing_again(self, tmp_path, capsys, monkeypatch):
+        # load_problem and find_t_perp check each operator once; the bounds
+        # block adds its two eigensolves and no check.
+        path = write_problem(tmp_path, SZ_PAIR)
+        calls = count_linalg_calls(monkeypatch)
+        code, _, _ = run_cli(["discriminate", "--input", path], capsys)
+        assert code == 0 and calls == {"assert_hermitian": 4, "herm_eig": 2, "_eigh": 4}
 
 
 class TestFigureSweeps:
