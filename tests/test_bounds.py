@@ -61,14 +61,16 @@ class TestAaLowerBound:
     @pytest.mark.parametrize("c", [0.0, 1e6, 1e10, 1e12, 1e14])
     def test_offset_does_not_move_the_threshold(self, c):
         # A scalar offset leaves dE_a = 0 and dE_b = 1 in |0>, so the bound
-        # stays pi/2; the threshold is measured on the offset-free parts.
+        # stays pi/2; the threshold is measured on the half-spans, which no
+        # offset moves either.
         shift = c * np.eye(2)
         assert bounds.aa_lower_bound(SZ + shift, SX + shift, [1.0, 0.0]) == np.pi / 2
 
     def test_threshold_is_the_half_span_sum(self):
         # v is an eigenvector of both operators and psi tilts it by eta
-        # toward u, set so that dE_a + dE_b = r * 1e-12 * (wa + wb): the
-        # bound raises just below the threshold and exists just above it.
+        # toward u.  To first order dE_a + dE_b = eta * slope, and eta is set
+        # so that it equals r * 1e-12 * (wa + wb): the bound raises just
+        # below the threshold and exists just above it.
         rng = np.random.default_rng(43)
         for d in range(2, 7):
             for _ in range(6):
