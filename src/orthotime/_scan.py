@@ -15,10 +15,14 @@ to bisection's schedule.
 The scan computes its own abscissae, a block at a time, on the uniform grid
 of n intervals over [0, t_end] and stops at the first root, so memory is
 bounded by one block whatever the step.  The caller gives a strictly
-positive lower bound f0 on the start value, and the scan skips the grid
-prefix that f >= f0 - L t proves clear of every root and touch candidate
-(the first Lipschitz step of Piyavskii-Shubert).  The result is the same,
-bit for bit, as sampling every grid point first (see ``first_root``).
+positive lower bound f0 on the start value and a start envelope
+f >= f0 - decay t, with decay at most L (L itself is the first Lipschitz
+step of Piyavskii-Shubert; a smaller decay comes from what the curve is,
+such as the spread of the generator of a unitary's phases).  The scan
+skips the grid prefix that envelope proves clear of every root and touch
+candidate, and its first block looks ahead in proportion to decay / L.
+The grid, the floors and every later step stay on L, and the result is the
+same, bit for bit, as sampling every grid point first (see ``first_root``).
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ import numpy as np
 
 SCAN_POINTS = 2000  # least grid intervals over a horizon, in both engines
 # Block schedule of the lazy scan: the first block holds at least
-# ``_FIRST_BLOCK`` points and reaches to twice the certified bound, because
-# roots often sit early in the horizon; the cap bounds one block's memory.
-_FIRST_BLOCK = 16
+# ``_FIRST_BLOCK`` points and reaches to twice the loose bound f0 / L, shrunk
+# by decay / L, because roots often sit just past the certified start; the
+# cap bounds one block's memory.
+_FIRST_BLOCK = 8
 _MAX_BLOCK = 65536
 # Evaluations one crossing refinement may spend; the bisection safeguard
 # reaches adjacent floats long before this on any bracket the scans hand over.
@@ -205,7 +210,7 @@ def _lower(low, ts, fs):
 
 
 def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
-               ftol: float, f0: float, f_scalar=None) -> RootHit:
+               ftol: float, f0: float, decay: float, f_scalar=None) -> RootHit:
     """Earliest root on [0, ``t_end``] of a curve that starts strictly
     positive, scanned on the uniform grid of ``n`` >= 1 intervals.
 
@@ -219,26 +224,31 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
     below n, with exactly ``t_end`` appended for index n (n times the step
     may overflow near the float maximum): bit for bit the points of
     ``np.linspace(0, t_end, n + 1)``, which is never built.  ``lipschitz``
-    bounds the curve's slope and ``f0``, checked positive, is a lower bound
-    on its value at 0.  Touch candidates are the positive sampled local
-    minima with an interval floor at most ``2 * TOUCH_TOL`` on either side
-    (see ``_touch_candidates``), hunted in grid order and before a later
-    sign change; the horizon endpoint, given a sentinel right neighbour
-    (``t_end``, +inf), is one more, with the one-sided bracket [t_{n-1},
-    ``t_end``].  Returns a RootHit of kind "crossing" or "touch"; with no
-    root, of kind "none", holding the smallest sample and the first grid
-    time where it occurs.
+    bounds the curve's slope, ``f0``, checked positive, is a lower bound
+    on its value at 0, and ``decay``, checked in [0, ``lipschitz``], is the
+    slope of the start envelope f(t) >= f0 - decay t.  Touch candidates are
+    the positive sampled local minima with an interval floor at most
+    ``2 * TOUCH_TOL`` on either side (see ``_touch_candidates``), hunted in
+    grid order and before a later sign change; the horizon endpoint, given
+    a sentinel right neighbour (``t_end``, +inf), is one more, with the
+    one-sided bracket [t_{n-1}, ``t_end``].  Returns a RootHit of kind
+    "crossing" or "touch"; with no root, of kind "none", holding the
+    smallest sample and the first grid time where it occurs.
 
-    Certified start: f(t) >= f0 - lipschitz t.  With the window
-    w = lipschitz * t_end / n and clear = (f0 - w) / lipschitz, every grid
-    index i below k = ceil(clear / step) - 1 has f_{i+1} > w and f_i > 2 w,
-    so both its interval floors exceed w.  When w >= 2 ``TOUCH_TOL`` none
-    of them is a touch candidate or a sign change, and evaluation starts at
-    s = max(k - 1, 0); a smaller window certifies nothing, and s = 0.  The
-    first block reaches from s to twice b = k + 2, the first grid index at
-    or past f0 / lipschitz, where the bound first leaves room for a root; it
-    holds at least ``_FIRST_BLOCK`` and at most ``_MAX_BLOCK`` points, and
-    each later block doubles up to ``_MAX_BLOCK``.  A scan from index 0
+    Certified start: f(t) >= f0 - decay t.  With the window
+    w = lipschitz * t_end / n and the envelope's fall per step
+    r = decay * t_end / n <= w, k = ceil((f0 - 2 w) / r) has
+    f0 - r k > 2 w - r >= w, so every grid index i below k has f_i > 2 w
+    and f_{i+1} > w, and both its interval floors exceed w.  When
+    w >= 2 ``TOUCH_TOL`` none of them is a touch candidate or a sign
+    change, and evaluation starts at s = max(k - 1, 0); a smaller window
+    certifies nothing, and s = 0.  With b = ceil(f0 / w), the first grid
+    index at or past f0 / lipschitz, the first block reaches from s to
+    ceil(2 b decay / lipschitz): twice the index where the loose envelope
+    f0 - lipschitz t first leaves room for a root, shrunk as the envelope
+    sharpens.  It holds at least ``_FIRST_BLOCK`` and at most
+    ``_MAX_BLOCK`` points, and each later block doubles up to
+    ``_MAX_BLOCK``.  With decay = lipschitz, k = b - 2.  A scan from index 0
     checks that sample positive, which guards the claim ``f0``.  A scan that
     finds no root then samples the skipped prefix too, for the smallest
     sample.
@@ -254,14 +264,25 @@ def first_root(f_batch, t_end: float, n: int, lipschitz: float, xtol: float,
     """
     if not f0 > 0.0:
         raise ValueError(f"scan must start strictly positive, got f0 = {f0!r}")
+    if not 0.0 <= decay <= lipschitz:
+        raise ValueError(f"start envelope slope must lie in [0, lipschitz], got decay = {decay!r}")
     f = f_scalar or _scalar(f_batch)
+    # In windows, as Python floats, which overflow to inf without a warning:
+    # the start f0 / window, 0 for a window too small to certify, and the
+    # envelope's fall per step, decay / lipschitz; so
+    # k = ceil((lead - 2) lipschitz / decay), which is b - 2 at decay = lipschitz.
+    lipschitz, decay = float(lipschitz), float(decay)
     step = t_end / n
     window = lipschitz * step
-    # b = ceil(f0 / window), the first grid index at or past f0 / L, or 0 for
-    # a window too small to certify; k = ceil(clear / step) - 1 = b - 2, s = k - 1.
-    b = min(np.ceil(f0 / window) if window >= 2.0 * TOUCH_TOL else 0.0, n + 4.0)
-    s = int(max(b - 3.0, 0.0))
-    first = min(max(int(2.0 * b) - s, _FIRST_BLOCK), _MAX_BLOCK)
+    lead = float(f0) / window if window >= 2.0 * TOUCH_TOL else 0.0
+    if lead <= 2.0:
+        k = 0.0
+    else:
+        k = (lead - 2.0) * (lipschitz / decay) if decay > 0.0 else np.inf
+    s = int(max(min(np.ceil(k), n + 2.0) - 1.0, 0.0))
+    b = min(np.ceil(lead), n + 4.0)
+    reach = int(np.ceil(2.0 * b * (decay / lipschitz))) if b > 0.0 else 0
+    first = min(max(reach - s, _FIRST_BLOCK), _MAX_BLOCK)
 
     def abscissae(lo: int, hi: int) -> np.ndarray:
         ts = np.arange(lo, min(hi, n), dtype=float) * step

@@ -151,14 +151,29 @@ class _EvolutionPair:
         self.lam, va = linalg.herm_eig(ha)
         self.mu, self.vb = linalg.herm_eig(hb)
         self.overlap = self.vb.conj().T @ va
-        # Phase motion of U(t) is generated by hb - e^{i hb t} ha e^{-i hb t};
-        # scalar parts cancel in gaps, so half-spans wa, wb give L = 2 (wa + wb).
+        # Each eigenphase of U(t) moves at a speed in the spectrum of hb - ha
+        # (``envelope_slope``), so the margins' slope is at most its spread,
+        # which L = 2 (wa + wb) bounds; L stays the constant of the scan's
+        # grid, its floors and the jump check in ``_checked``.
         self.lipschitz = float(self.lam[-1] - self.lam[0] + self.mu[-1] - self.mu[0])
         if self.dim == 2:  # aligned, crossed weights |<b_j|a_k>|^2; beats wb - wa, wa + wb
             w = np.abs(self.overlap) ** 2
             self.weights = (w[0, 0] + w[1, 1], w[0, 1] + w[1, 0])
             wa, wb = 0.5 * (self.lam[1] - self.lam[0]), 0.5 * (self.mu[1] - self.mu[0])
             self.beats = (wb - wa, wa + wb)
+
+    def envelope_slope(self) -> float:
+        """Slope S of the margins' start envelope: every eigenphase of U(t)
+        moves at a speed inside the spectrum of hb - ha (the arc lemma), so
+        the gap margin is >= pi - S t and the d = 2 trace margin is
+        >= 2 cos(S t / 2) >= 2 - S t, with S the spread of hb - ha.  It is
+        taken in hb's eigenframe, diag(mu) - M diag(lam) M*, and raised by
+        the roundoff allowance 4 d eps (max|lam| + max|mu|); past L, or NaN,
+        it is L."""
+        generator = np.diag(self.mu) - (self.overlap * self.lam) @ self.overlap.conj().T
+        allowance = 4 * self.dim * np.finfo(float).eps * (np.abs(self.lam).max()
+                                                          + np.abs(self.mu).max())
+        return min(self.lipschitz, float(linalg._spread(generator) + allowance))
 
     def product_grid(self, ts) -> np.ndarray:
         """Vb* U(t) Vb, batched over times, with one batched matmul."""
@@ -232,10 +247,11 @@ def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     L below about 1.75e-306, where it overflows, and a crossing is refined
     to ``REFINE_REL_TOL`` * t_max.
     The scan's start bound is the margin's exact value at t = 0: pi, or 2
-    for the d = 2 margin.  A given t_max is checked positive and, like
-    alpha, t_max (max|lam| + max|mu|) and the grid count, finite.  Margin
-    samples that break the Lipschitz bound raise ``ConvergenceError`` with
-    their jump ratio.
+    for the d = 2 margin, and its start envelope falls at the spread of
+    hb - ha (``_EvolutionPair.envelope_slope``), at most L.  A given t_max
+    is checked positive and, like alpha, t_max (max|lam| + max|mu|) and the
+    grid count, finite.  Margin samples that break the Lipschitz bound raise
+    ``ConvergenceError`` with their jump ratio.
 
     Returns a ``DiscriminationResult`` on success.  Returns a
     ``NoOrthogonality`` report when g never reaches zero on the horizon; the
@@ -260,7 +276,7 @@ def find_t_perp(ha, hb, t_max: float | None = None, *, alpha: float = 0.0):
     f_batch, f0 = ((pair_data.trace_margin, 2.0) if pair_data.dim == 2
                    else (pair_data.gap_margin, np.pi))
     hit = first_root(f_batch, t_max, int(n), pair_data.lipschitz, REFINE_REL_TOL * t_max, GAP_FTOL,
-                     f0=f0)
+                     f0=f0, decay=pair_data.envelope_slope())
     if hit.kind == "none":
         # All samples are positive, where the trace-to-gap map increases.
         g = pair_data.gap_margin_from_trace(hit.value) if pair_data.dim == 2 else hit.value

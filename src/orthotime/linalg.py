@@ -30,8 +30,9 @@ This is the package's one home for eigensolvers and norms: every
 eigenphase comes from ``unitary_phases`` (checked, one matrix or a stack),
 ``unitary_eig`` (with a frame) or the scan's unchecked ``_batch_phases``,
 every Hermitian eigensystem from ``herm_eig`` or its unchecked route
-``_eigh``, and every matrix norm that must keep its scale from
-``frobenius``.  The module needs numpy only.
+``_eigh``, the spread of the scan's start envelope from ``_spread``, and
+every matrix norm that must keep its scale from ``frobenius``.  The module
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -203,6 +204,16 @@ def _eigh(h) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
     return EigenSystem(values, vectors)
+
+
+def _spread(h) -> float:
+    """Eigenvalue spread E_max - E_min of a complex square matrix that is
+    Hermitian by construction, unchecked, from its eigenvalues alone."""
+    try:
+        values = np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
+    return float(values[-1] - values[0])
 
 
 def unitary_eig(u) -> EigenSystem:

@@ -105,10 +105,11 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
     horizon, or a touch such as the horizon-end tangency at gamma = pi/2
     with equal frequencies.  Its start bound is the criterion's exact value
     1 at t = 0, and its slope bound L = cos^2(gamma/2) |wa - wb| +
-    sin^2(gamma/2) (wa + wb); L times the step is at least pi/5e6 times the
-    dominant weight, above 3e-7, so it never underflows.  A non-finite
-    argument or frequency sum raises ValueError, and so does an infinite
-    horizon (a subnormal frequency scale), which has no finite grid count.
+    sin^2(gamma/2) (wa + wb), also its start envelope's slope; L times the
+    step is at least pi/5e6 times the dominant weight, above 3e-7, so it
+    never underflows.  A non-finite argument or frequency sum raises
+    ValueError, and so does an infinite horizon (a subnormal frequency
+    scale), which has no finite grid count.
     """
     gamma = linalg._finite(gamma, "gamma")
     omega_a = linalg._finite_nonnegative(omega_a, "omega_a")
@@ -144,7 +145,7 @@ def qubit_t_perp(gamma: float, omega_a: float, omega_b: float) -> float | None:
 
     lip = a * abs(omega_a - omega_b) + b * total
     hit = first_root(f, horizon, n, lip, REFINE_REL_TOL * horizon, REFINE_FTOL, f0=1.0,
-                     f_scalar=f)
+                     decay=lip, f_scalar=f)
     return float(hit.t) if hit.kind != "none" else None
 
 

@@ -590,29 +590,43 @@ def test_the_optimal_state_is_continuous_in_t(seed):
         assert max(bounds_aa) - min(bounds_aa) <= 1e-12 * max(bounds_aa)
 
 
-def _certified_start(f0, lipschitz, step):
-    """s = max(k - 1, 0) for k = ceil(clear / step) - 1, clear = (f0 - L step) / L."""
-    clear = (f0 - lipschitz * step) / lipschitz
-    return max(int(np.ceil(clear / step)) - 2, 0)
+def _certified_start(f0, lipschitz, step, decay=None):
+    """s = max(k - 1, 0) for k = ceil((f0 - 2 w) / r), with the window
+    w = L step and the start envelope's fall r = decay step, decay = L by
+    default."""
+    decay = lipschitz if decay is None else decay
+    k = int(np.ceil((f0 - 2.0 * lipschitz * step) / (decay * step)))
+    return max(k - 1, 0)
+
+
+def _gap_scan_margin_points(monkeypatch, ha, hb):
+    """find_t_perp(ha, hb) and the margin points it evaluated."""
+    points = []
+    margin = discriminate._EvolutionPair.gap_margin
+    with monkeypatch.context() as patch:
+        patch.setattr(discriminate._EvolutionPair, "gap_margin",
+                      lambda self, ts: points.append(np.size(ts)) or margin(self, ts))
+        out = find_t_perp(ha, hb)
+    return out, sum(points)
 
 
 class TestCertifiedStart:
-    """Both engines start their scans where the slope bound L and the curve's
-    value at t = 0 leave room for a root, and sample nothing before that
-    unless the scan finds no root."""
+    """Both engines start their scans where the start envelope and the
+    curve's value at t = 0 leave room for a root, and sample nothing before
+    that unless the scan finds no root."""
 
     @pytest.mark.parametrize("case", range(16))
     def test_gap_scan_pairs_need_few_margin_points(self, monkeypatch, case):
-        # Each root lies within twice the span bound pi / L, so one grid block
-        # (the 23 or 24 points from just before the bound to twice it) and
-        # about 4 refinement points suffice.
-        points = []
-        margin = discriminate._EvolutionPair.gap_margin
-        monkeypatch.setattr(discriminate._EvolutionPair, "gap_margin",
-                            lambda self, ts: points.append(np.size(ts)) or margin(self, ts))
-        out = find_t_perp(*_gap_scan_pairs()[case])
+        # Each root lies just past the spectral-arc bound pi / S, S the spread
+        # of hb - ha, so one first block (8 points from just before the
+        # bound, more where S is near L) and about 4 refinement points suffice.
+        out, points = _gap_scan_margin_points(monkeypatch, *_gap_scan_pairs()[case])
         assert isinstance(out, DiscriminationResult)
-        assert sum(points) <= 40
+        assert points <= 30
+
+    def test_gap_scan_pairs_need_few_margin_points_on_average(self, monkeypatch):
+        counts = [_gap_scan_margin_points(monkeypatch, ha, hb)[1] for ha, hb in _gap_scan_pairs()]
+        assert np.mean(counts) <= 15
 
     def test_trace_margin_skips_the_certified_prefix(self, monkeypatch):
         ts_seen = []
@@ -622,10 +636,13 @@ class TestCertifiedStart:
         ha, hb = _offset_qubit_pair(1.0, 0.5)[2:]
         out = find_t_perp(ha, hb)
         assert isinstance(out, DiscriminationResult)
-        lipschitz = discriminate._EvolutionPair(ha, hb).lipschitz
+        pair = discriminate._EvolutionPair(ha, hb)
+        lipschitz, decay = pair.lipschitz, pair.envelope_slope()
+        spread = np.ptp(np.linalg.eigvalsh(hb - ha))
+        assert spread <= decay <= spread + 1e-12 < lipschitz
         step = discriminate.HORIZON_SPANS * np.pi / lipschitz / discriminate.SCAN_POINTS
-        s = _certified_start(2.0, lipschitz, step)
-        assert s > 0
+        s = _certified_start(2.0, lipschitz, step, decay)
+        assert s > _certified_start(2.0, lipschitz, step) > 0  # later than the loose start
         assert np.concatenate(ts_seen).min() == s * step
 
     @pytest.mark.parametrize("row", [(1.0, 3.0, 1.0), (0.5, 2.0, 1.0), (2.0, 1.0, 1.5)])
@@ -642,6 +659,50 @@ class TestCertifiedStart:
         s = _certified_start(1.0, a * abs(wa - wb) + b * (wa + wb), step)
         assert s > 0
         assert np.concatenate(ts_seen).min() == s * step
+
+
+def _bits(out):
+    """Every field of a find_t_perp result, floats by their exact repr and
+    the state by its bytes."""
+    if isinstance(out, NoOrthogonality):
+        return ("none", repr(out.t_max), repr(out.g_infimum), repr(out.t_at_infimum))
+    return (repr(out.t_perp), out.pair, repr(out.alpha), out.state.tobytes(), repr(out.residual))
+
+
+def _sharp_start_cases():
+    """(id, ha, hb, t_max) for seeded pairs at d = 2-8: plain, with scalar
+    offsets c and -c/2, with a near-scalar and a scalar difference, and on a
+    horizon too short for a root."""
+    cases = []
+    for dim in range(2, 9):
+        rng = np.random.default_rng(3200 + dim)
+        ha, hb = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        eye = np.eye(dim, dtype=complex)
+        cases.append((f"d{dim}", ha, hb, None))
+        for c in (1e4, 1e8, 1e12):
+            cases.append((f"d{dim}-offset{c:.0e}", ha + c * eye, hb - 0.5 * c * eye, None))
+        cases.append((f"d{dim}-near-scalar", ha, ha + 1e-9 * hb, None))
+        cases.append((f"d{dim}-scalar", ha, ha + 0.75 * eye, None))
+        span_bound = np.pi / discriminate._EvolutionPair(ha, hb).lipschitz
+        cases.append((f"d{dim}-short", ha, hb, 0.5 * span_bound))
+    return cases
+
+
+class TestSharpStartChangesNoOutput:
+    """The start envelope's slope S = spread(hb - ha) skips more of the grid
+    than the Lipschitz constant L would, and changes no output bit."""
+
+    @pytest.mark.parametrize("case", _sharp_start_cases(), ids=lambda case: case[0])
+    def test_same_result_as_the_loose_envelope(self, monkeypatch, case):
+        name, ha, hb, t_max = case
+        pair = discriminate._EvolutionPair(ha, hb)
+        assert pair.envelope_slope() < pair.lipschitz  # the sharp start is a different scan
+        sharp = find_t_perp(ha, hb, t_max)
+        monkeypatch.setattr(discriminate._EvolutionPair, "envelope_slope",
+                            lambda self: self.lipschitz)
+        assert _bits(sharp) == _bits(find_t_perp(ha, hb, t_max))
+        has_root = not name.endswith(("scalar", "short"))
+        assert isinstance(sharp, DiscriminationResult) == has_root
 
 
 def _cayley_kappa_max(u):

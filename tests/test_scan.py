@@ -163,7 +163,8 @@ CURVES = (
 def test_matches_full_grid_scan(f, lipschitz):
     lipschitz = 4 * LIP if lipschitz is None else lipschitz  # None: a four times looser bound
     ref = full_grid_first_root(f, grid(), lipschitz)
-    assert first_root(f, 1.0, N - 1, lipschitz, XTOL, FTOL, start_bound(f, lipschitz)) == ref
+    assert first_root(f, 1.0, N - 1, lipschitz, XTOL, FTOL, start_bound(f, lipschitz),
+                      lipschitz) == ref
 
 
 @pytest.mark.parametrize("f", [dip_at(300, 0.5 * WINDOW),
@@ -176,7 +177,7 @@ def test_near_miss_dip_is_not_hunted(f, monkeypatch):
     hunt = _scan._touch_hunt
     monkeypatch.setattr(_scan, "_touch_hunt", lambda f_batch, lo, hi, *args: (
         hunted.append((lo, hi)) or hunt(f_batch, lo, hi, *args)))
-    hit = first_root(f, 1.0, N - 1, LIP, XTOL, FTOL, start_bound(f, LIP))
+    hit = first_root(f, 1.0, N - 1, LIP, XTOL, FTOL, start_bound(f, LIP), LIP)
     assert hit.kind == "none"
     assert hunted == []
 
@@ -185,7 +186,7 @@ def test_near_miss_dip_is_not_hunted(f, monkeypatch):
                          + [(dip_at(i, 1e-10), "touch") for i in EDGES]
                          + [(dip_at(i, -1e-5, shift=0.5), "crossing") for i in EDGES])
 def test_block_edge_roots_are_found(f, kind):
-    hit = first_root(f, 1.0, N - 1, LIP, XTOL, FTOL, start_bound(f, LIP))
+    hit = first_root(f, 1.0, N - 1, LIP, XTOL, FTOL, start_bound(f, LIP), LIP)
     assert hit.kind == kind
 
 
@@ -195,7 +196,7 @@ def test_block_edge_roots_are_found(f, kind):
 def test_grid_shorter_than_first_block(n, has_root):
     f = crossing_at(n - 1, n) if has_root else (lambda t: 1.0 + np.asarray(t))
     ref = full_grid_first_root(f, grid(n), LIP)
-    assert first_root(f, 1.0, n - 1, LIP, XTOL, FTOL, start_bound(f, LIP, n=n - 1)) == ref
+    assert first_root(f, 1.0, n - 1, LIP, XTOL, FTOL, start_bound(f, LIP, n=n - 1), LIP) == ref
     assert (ref.kind != "none") == has_root
 
 
@@ -215,7 +216,8 @@ def test_block_cap_is_respected():
             sizes.append(np.size(t))
             return f(t)
 
-        hit = first_root(counted, 1.0, n - 1, LIP, XTOL, FTOL, start_bound(f, LIP, n=n - 1))
+        hit = first_root(counted, 1.0, n - 1, LIP, XTOL, FTOL, start_bound(f, LIP, n=n - 1),
+                         LIP)
         assert hit == full_grid_first_root(f, ts, LIP)
         assert max(sizes) == _scan._MAX_BLOCK
 
@@ -232,7 +234,7 @@ def test_abscissae_are_the_linspace_grid(n, t_end):
         blocks.append(t.copy())
         return 1.0 + t
 
-    hit = first_root(rising, t_end, n, LIP, XTOL, FTOL, min(1.0, LIP * t_end / n))
+    hit = first_root(rising, t_end, n, LIP, XTOL, FTOL, min(1.0, LIP * t_end / n), LIP)
     assert hit == RootHit(0.0, 1.0, "none")
     with np.errstate(over="ignore"):  # np.linspace itself may overflow near the float maximum
         grid = np.linspace(0.0, t_end, n + 1)
@@ -272,7 +274,7 @@ def test_nonpositive_first_sample_raises(f):
     with pytest.raises(ValueError):
         full_grid_first_root(f, grid(), LIP)
     with pytest.raises(ValueError, match="scan must start at a strictly positive sample"):
-        first_root(f, 1.0, N - 1, LIP, XTOL, FTOL, WINDOW)
+        first_root(f, 1.0, N - 1, LIP, XTOL, FTOL, WINDOW, LIP)
 
 
 class _Counter:
@@ -395,10 +397,12 @@ class _Recorder:
         return np.concatenate(self.ts)
 
 
-def scan_both(f, lipschitz, f0, n=N - 1, t_end=1.0):
-    """(first_root given f0, the full-grid walk, the points the scan evaluated)."""
+def scan_both(f, lipschitz, f0, n=N - 1, t_end=1.0, decay=None):
+    """(first_root given f0 and the start envelope's slope, by default
+    ``lipschitz``, the full-grid walk, the points the scan evaluated)."""
     rec = _Recorder(f)
-    hit = first_root(rec, t_end, n, lipschitz, XTOL, FTOL, f0=f0)
+    hit = first_root(rec, t_end, n, lipschitz, XTOL, FTOL, f0=f0,
+                     decay=lipschitz if decay is None else decay)
     ref = full_grid_first_root(f, np.linspace(0.0, t_end, n + 1), lipschitz)
     return hit, ref, rec
 
@@ -430,7 +434,61 @@ def test_certified_start_matches_full_grid_scan(amps, freqs, phases, offset, sla
     assert hit == ref
 
 
+@settings(max_examples=300, deadline=None)
+@given(amps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+       freqs=st.lists(st.floats(0.5, 20.0), min_size=3, max_size=3),
+       phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=3, max_size=3),
+       offset=st.one_of(st.floats(-0.5, 2.0), st.none()), looser=st.floats(1.0, 4.0),
+       n=st.integers(20, 800), t_end=st.floats(0.1, 10.0))
+def test_sharp_start_matches_full_grid_scan(amps, freqs, phases, offset, looser, n, t_end):
+    """As above, with the curve's own slope bound as the start envelope's
+    slope and a Lipschitz constant up to four times looser: the scan skips
+    more of the grid and still returns the full-grid walk's RootHit."""
+    terms = list(zip(amps, freqs, phases))
+
+    def wave(t):
+        t = np.asarray(t, dtype=float)
+        return sum(a * np.cos(w * t + ph) for a, w, ph in terms)
+
+    if offset is None:
+        offset = 1e-10 - wave(np.linspace(0.0, t_end, 20 * n + 1)).min()
+    f = lambda t: offset + wave(t)  # noqa: E731
+    f0 = float(f(np.zeros(1))[0])
+    assume(f0 > 0.0)
+    decay = sum(a * w for a, w, _ in terms)
+    hit, ref, _ = scan_both(f, looser * decay, f0, n, t_end, decay=decay)
+    assert hit == ref
+
+
 S = 40  # certified start of the fixed cases below: the scan skips the indices below S
+
+
+# (decay / LIP, start s, first block): k = ceil(40.5 LIP / decay), s = k - 1,
+# and the first block reaches ceil(2 b decay / LIP), b = 43, or holds 8 points.
+@pytest.mark.parametrize("ratio, start, first", [(1.0, S, 46), (0.8, 50, 19), (0.4, 101, B)])
+def test_sharp_start_and_look_ahead(ratio, start, first):
+    # A constant curve f0 = (S + 2.5) windows is rootless and above every
+    # envelope: the scan starts at s with the first block the rule gives, and
+    # samples every grid point once.
+    f0 = f0_for_start(S)
+    hit, ref, rec = scan_both(lambda t: np.full(np.shape(t), f0), LIP, f0, decay=ratio * LIP)
+    assert hit == ref == RootHit(0.0, f0, "none")
+    assert rec.ts[0][0] == grid()[start] and rec.sizes[0] == first
+    assert np.sort(rec.points()).tobytes() == grid().tobytes()
+
+
+@pytest.mark.parametrize("ratio", [0.8, 0.4])
+def test_earliest_root_the_envelope_allows(ratio):
+    # Falling at exactly the envelope's slope from f0 reaches zero at
+    # f0 / decay, with L a looser slope bound: a crossing, found where the
+    # full-grid walk finds it, and nothing below the start is evaluated.
+    f0, decay = f0_for_start(S), ratio * LIP
+    f = lambda t: f0 - decay * np.asarray(t, dtype=float)  # noqa: E731
+    hit, ref, rec = scan_both(f, LIP, f0, decay=decay)
+    assert hit == ref and hit.kind == "crossing"
+    assert hit.t == pytest.approx(f0 / decay, abs=1e-9)
+    s = int(np.ceil((f0 - 2.0 * WINDOW) / (decay * STEP))) - 1
+    assert s > S and rec.points().min() == grid()[s]
 
 
 def test_root_at_the_first_uncertified_index():
@@ -545,7 +603,16 @@ def test_nonpositive_start_value_raises():
     for f0 in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="scan must start strictly positive"):
             first_root(lambda t: calls.append(t) or np.ones(np.size(t)), 1.0, 10, LIP, XTOL,
-                       FTOL, f0=f0)
+                       FTOL, f0=f0, decay=LIP)
+    assert not calls
+
+
+def test_envelope_slope_outside_the_lipschitz_range_raises():
+    calls = []
+    for decay in (-1.0, 1.5 * LIP, float("nan")):
+        with pytest.raises(ValueError, match="start envelope slope must lie in"):
+            first_root(lambda t: calls.append(t) or np.ones(np.size(t)), 1.0, 10, LIP, XTOL,
+                       FTOL, f0=1.0, decay=decay)
     assert not calls
 
 
