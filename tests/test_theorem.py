@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from orthotime import linalg, theorem
-from orthotime.discriminate import bracket
+from orthotime.discriminate import (REFINE_REL_TOL, DiscriminationResult, bracket, find_t_perp,
+                                    product_unitary)
 from orthotime.errors import CutProximityError, DimensionMismatchError, NonUnitaryError
-from helpers import SX, SZ, random_hermitian
+from helpers import SX, SZ, haar_unitary, random_hermitian
+from test_product_oracle import _cases as product_oracle_rows
+from test_product_oracle import _pair as product_oracle_pair
 
 
 class TestRandomUnitary:
@@ -245,3 +250,87 @@ class TestConjectureScan:
     def test_rejects_a_scalar_ha(self):
         with pytest.raises(ValueError, match="^ha must be nonzero after trace projection$"):
             theorem.conjecture_scan(np.eye(2), 1.0, 0.5, 4, 0)
+
+
+# Roundoff allowance on an eigenphase of e^{iX} e^{iY} from product_unitary
+# and unitary_phases: about d eps (1 + ||X|| + ||Y||), below 1e-14 for d <= 6
+# and scales <= 1.5.
+ARC_ALLOWANCE = 1e-12
+
+
+def _arc_excess(x, y):
+    """Largest circular distance of an eigenphase of e^{iX} e^{iY} from the
+    middle of the arc e^{i[m, M]}, m and M the extreme eigenvalues of X + Y,
+    less the arc's half-length (M - m) / 2."""
+    m, big = np.linalg.eigvalsh(x + y)[[0, -1]]
+    phases = linalg.unitary_phases(product_unitary(-y, x, 1.0))
+    off = np.abs(np.angle(np.exp(1j * (phases - 0.5 * (m + big)))))
+    return off.max() - 0.5 * (big - m), off
+
+
+class TestSpectralArc:
+    """The spectral-arc lemma: for Hermitian X, Y whose sum has extreme
+    eigenvalues m, M with M - m < 2 pi, every eigenphase of e^{iX} e^{iY}
+    lies on the arc e^{i[m, M]}.  V(s) = e^{isX} e^{isY} has the generator
+    e^{isX} (X + Y) e^{-isX}, so each eigenphase starts at 0 and moves at a
+    speed in [m, M].  With X = t hb and Y = -t ha, the gap margin of
+    e^{i hb t} e^{-i ha t} is >= pi - spread(hb - ha) t, and
+    t_perp >= pi / spread(hb - ha)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           scale_x=st.floats(0.05, 1.5), scale_y=st.floats(0.05, 1.5))
+    def test_phases_lie_on_the_arc_of_the_sum(self, dim, seed, scale_x, scale_y):
+        rng = np.random.default_rng(seed)
+        x = random_hermitian(rng, dim, radius=scale_x)
+        y = random_hermitian(rng, dim, radius=scale_y)
+        assume(np.ptp(np.linalg.eigvalsh(x + y)) < 2.0 * np.pi)
+        assert _arc_excess(x, y)[0] <= ARC_ALLOWANCE
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_commuting_rows_reach_both_ends_of_the_arc(self, dim):
+        # X and Y diagonal in one hidden frame: the phases are the sums of
+        # their eigenvalues, which include m and M themselves.
+        rng = np.random.default_rng(40 + dim)
+        w = haar_unitary(rng, dim)
+        a, b = rng.uniform(-1.0, 1.0, size=(2, dim))
+        x, y = (w * a) @ w.conj().T, (w * b) @ w.conj().T
+        excess, off = _arc_excess(x, y)
+        assert abs(excess) <= ARC_ALLOWANCE
+        ends = np.sort(off)[-2:]  # the phases m and M, each half the arc from its middle
+        assert_allclose(ends, 0.5 * np.ptp(a + b), atol=ARC_ALLOWANCE)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_t_perp_is_at_least_pi_over_the_spread_of_the_difference(self, dim):
+        # A pair with no root on the default horizon has none before the bound either.
+        rng = np.random.default_rng(4100 + dim)
+        found = 0
+        for _ in range(4):
+            ha, hb = random_hermitian(rng, dim), random_hermitian(rng, dim)
+            out = find_t_perp(ha, hb)
+            if isinstance(out, DiscriminationResult):
+                span = np.ptp(np.linalg.eigvalsh(ha)) + np.ptp(np.linalg.eigvalsh(hb))
+                t_max = 100.0 * np.pi / span  # find_t_perp's default horizon
+                bound = np.pi / np.ptp(np.linalg.eigvalsh(hb - ha))
+                assert out.t_perp >= bound - REFINE_REL_TOL * t_max
+                found += 1
+        assert found >= 3
+
+    def test_commuting_pairs_attain_the_time_bound(self):
+        rng = np.random.default_rng(4130)
+        for dim in (2, 3, 6):
+            w = haar_unitary(rng, dim)
+            a, b = rng.uniform(-1.0, 1.0, size=(2, dim))
+            out = find_t_perp((w * a) @ w.conj().T, (w * b) @ w.conj().T)
+            assert isinstance(out, DiscriminationResult)
+            assert out.t_perp == pytest.approx(np.pi / np.ptp(b - a), rel=1e-8)
+
+    def test_product_oracle_rows_respect_the_time_bound(self):
+        rng = np.random.default_rng(4140)
+        for factors in product_oracle_rows():
+            ha, hb = product_oracle_pair(factors, haar_unitary(rng, 2 ** len(factors)))
+            out = find_t_perp(ha, hb)
+            assert isinstance(out, DiscriminationResult)
+            span = np.ptp(np.linalg.eigvalsh(ha)) + np.ptp(np.linalg.eigvalsh(hb))
+            bound = np.pi / np.ptp(np.linalg.eigvalsh(hb - ha))
+            assert out.t_perp >= bound - REFINE_REL_TOL * 100.0 * np.pi / span
